@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann as BOLTZMANN
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import ExpansionCoefficients, reconstruct
+from .quadrature import BOLTZMANN, ExpansionCoefficients, reconstruct
 from .symtensor import (
     SymTensor,
     canonical_index_tuples,

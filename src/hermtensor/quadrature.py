@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import Boltzmann
 
 from .hermite import PHYSICIST, PROBABILIST, HermiteConvention, evaluate_basis
 from .symtensor import SymTensor, multiplicity_vector, n_components
@@ -36,6 +35,10 @@ __all__ = [
 
 MAX_ORDER = 64
 
+# CODATA 2022 values as scipy.constants reports them; k_B is exact in SI
+BOLTZMANN = 1.380649e-23
+ATOMIC_MASS = 1.66053906892e-27
+
 
 class NonFiniteIntegrandError(ArithmeticError):
     """An integrand evaluated to inf or nan at a quadrature node."""
@@ -52,14 +55,13 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    dims: int = 3
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
 
-def gauss_hermite_rule(order: int, dims: int = 3) -> QuadratureRule:
+def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Rule of the given order for the weight exp(-x**2).
 
     Nodes are the roots of the order-``order`` 1-D physicist Hermite
@@ -69,7 +71,19 @@ def gauss_hermite_rule(order: int, dims: int = 3) -> QuadratureRule:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be within 1..{MAX_ORDER}, got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(order, nodes, weights, dims)
+    return QuadratureRule(order, nodes, weights)
+
+
+def _require_order(rule: QuadratureRule, rank: int) -> None:
+    """Rank-``rank`` products need order >= 2 rank + 2 to integrate without aliasing."""
+    if rule.order < 2 * rank + 2:
+        raise ValueError(f"rule order {rule.order} insufficient for rank {rank}; need >= {2 * rank + 2}")
+
+
+def _doubled_rule(rule: QuadratureRule) -> QuadratureRule:
+    if 2 * rule.order > MAX_ORDER:
+        raise ValueError(f"the order-doubling probe needs rule order <= {MAX_ORDER // 2}, got {rule.order}")
+    return gauss_hermite_rule(2 * rule.order)
 
 
 def grid_points(rule: QuadratureRule) -> np.ndarray:
@@ -84,14 +98,18 @@ def grid_weights(rule: QuadratureRule) -> np.ndarray:
     return (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
 
-def _field_values(f, points: np.ndarray, vectorized: bool) -> np.ndarray:
+def _sample(f, rule: QuadratureRule, vectorized: bool):
+    """Evaluate f once on the rule's node grid: (points, weights, values, g = f exp(+z.z))."""
+    points = grid_points(rule)
     if vectorized:
         values = np.asarray(f(points), dtype=np.float64)
         if values.shape != (len(points),):
             raise ValueError("vectorized integrand must return one value per point")
     else:
         values = np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
-    return values
+    with np.errstate(over="ignore"):
+        g = values * np.exp(np.sum(points**2, axis=1))
+    return points, grid_weights(rule), values, g
 
 
 def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -107,16 +125,23 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     default ``f`` is called once per node triple; pass ``vectorized=True``
     for a callable that maps an (K, 3) array to K values.
     """
-    points = grid_points(rule)
-    values = _field_values(f, points, vectorized)
+    points, weights, values, _ = _sample(f, rule, vectorized)
     _require_finite(values, points)
-    return float(np.dot(grid_weights(rule), values))
+    return float(np.dot(weights, values))
 
 
 def _basis_rows(max_rank: int, points: np.ndarray, convention: HermiteConvention):
     cols = (points[:, 0], points[:, 1], points[:, 2])
     tensors = evaluate_basis(max_rank, cols, dim=3, convention=convention)
     return [np.atleast_2d(t.data) for t in tensors]
+
+
+def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points: np.ndarray, convention=PHYSICIST) -> np.ndarray:
+    """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights at the given points."""
+    top = max(m_rank, n_rank)
+    _require_order(rule, top)
+    rows = _basis_rows(top, points, convention)
+    return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m_rank], rows[n_rank])
 
 
 def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYSICIST) -> np.ndarray:
@@ -127,17 +152,12 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
     same nodes by the substitution z = sqrt(2) x.  Shape is (#components(m),
     #components(n)).
     """
-    top = max(m_rank, n_rank)
-    if top > 4:
+    if max(m_rank, n_rank) > 4:
         raise ValueError("orthogonality tables are supported for ranks <= 4")
-    if rule.order < 2 * top + 2:
-        raise ValueError(f"rule order {rule.order} insufficient; need >= {2 * top + 2}")
     points = grid_points(rule)
     if convention is PROBABILIST:
         points = math.sqrt(2.0) * points
-    rows = _basis_rows(top, points, convention)
-    w = grid_weights(rule)
-    return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", w, rows[m_rank], rows[n_rank])
+    return _gram(m_rank, n_rank, rule, points, convention)
 
 
 class AdmissibilityResult(NamedTuple):
@@ -153,15 +173,13 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
     moves it by less than 5 percent relative; the refined value is returned
     either way.  The probe requires order <= 32 so the doubled rule exists.
     """
+    fine_rule = _doubled_rule(rule)
+    return _admissibility(_sample(f, rule, vectorized), _sample(f, fine_rule, vectorized))
 
-    def probe(r):
-        points = grid_points(r)
-        g = _field_values(f, points, vectorized) * np.exp(np.sum(points**2, axis=1))
-        with np.errstate(over="ignore"):
-            return float(np.dot(grid_weights(r), g * g))
 
-    coarse = probe(rule)
-    fine = probe(gauss_hermite_rule(2 * rule.order))
+def _admissibility(coarse_sample, fine_sample) -> AdmissibilityResult:
+    with np.errstate(over="ignore"):
+        coarse, fine = (float(np.dot(w, g * g)) for _, w, _, g in (coarse_sample, fine_sample))
     if not (np.isfinite(coarse) and np.isfinite(fine)):
         return AdmissibilityResult(False, fine)
     scale = max(abs(coarse), abs(fine))
@@ -198,25 +216,32 @@ def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorize
     The integrals run over the node grid with the Gaussian factor divided
     out of f.  If the order-doubling stability probe flags f as outside the
     weighted L2 space, a warning is issued and the coefficients are still
-    returned with ``admissible=False``.
+    returned with ``admissible=False``.  The rule needs an order of at
+    least 2 max_rank + 2, and at most 32 for the probe.
     """
+    return _project(f, max_rank, rule, f0, vectorized)[0]
+
+
+def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
+    """Probe, then project f: (coefficients, the rule's sample, rank 0..max_rank basis rows)."""
     if f0 == 0.0:
         raise ValueError("f0 must be nonzero")
-    check = l2_admissible(f, rule, vectorized=vectorized)
+    _require_order(rule, max_rank)
+    fine_rule = _doubled_rule(rule)
+    sample = _sample(f, rule, vectorized)
+    check = _admissibility(sample, _sample(f, fine_rule, vectorized))
     if not check.admissible:
-        warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=2)
-    points = grid_points(rule)
-    values = _field_values(f, points, vectorized)
+        # attributed to the caller of expand or truncation_error
+        warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
+    points, weights, values, g = sample
     _require_finite(values, points)
-    with np.errstate(over="ignore"):
-        g = values * np.exp(np.sum(points**2, axis=1))
-    weighted = grid_weights(rule) * g
+    weighted = weights * g
     rows = _basis_rows(max_rank, points, PHYSICIST)
     coeffs = []
     for m in range(max_rank + 1):
         integrals = math.pi ** (-1.5) * rows[m] @ weighted
         coeffs.append(SymTensor(3, m, integrals / (2.0**m * math.factorial(m) * f0)))
-    return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible)
+    return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample, rows
 
 
 def _series(coeffs: ExpansionCoefficients, points: np.ndarray, top: int, rows=None) -> np.ndarray:
@@ -247,15 +272,11 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     which the expansion is an orthogonal projection, so the sequence cannot
     increase as ranks are added.
     """
-    coeffs = expand(f, max_rank, rule, f0, vectorized=vectorized)
-    points = grid_points(rule)
-    w = grid_weights(rule)
-    g = _field_values(f, points, vectorized) * np.exp(np.sum(points**2, axis=1))
-    rows = _basis_rows(max_rank, points, PHYSICIST)
+    coeffs, (points, weights, _, g), rows = _project(f, max_rank, rule, f0, vectorized)
     errors = np.empty(max_rank + 1)
     for top in range(max_rank + 1):
         residual = g - f0 * _series(coeffs, points, top, rows)
-        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(np.dot(w, residual * residual))))
+        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(np.dot(weights, residual * residual))))
     return errors
 
 
@@ -280,7 +301,7 @@ class WeightSpec:
 
     @property
     def thermal_speed(self) -> float:
-        return math.sqrt(2.0 * Boltzmann * self.temperature / self.mass)
+        return math.sqrt(2.0 * BOLTZMANN * self.temperature / self.mass)
 
     def z_of_v(self, v) -> np.ndarray:
         return np.asarray(v, dtype=np.float64) / self.thermal_speed

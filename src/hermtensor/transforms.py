@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, evaluate_basis, hermite_phys
-from .quadrature import QuadratureRule, gauss_hermite_rule, grid_points, grid_weights
+from .hermite import hermite_phys
+from .quadrature import QuadratureRule, _doubled_rule, _gram, grid_points, grid_weights
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -120,8 +120,9 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     and at double the order: growth beyond 10x (or a non-finite sum) is
     classified divergent, anything else finite, with agreement within 5
     percent as the confirmed-stable regime.  Near the alpha**2 = 2 boundary
-    a two-point probe is indecisive by construction.
+    a two-point probe is indecisive by construction.  Needs rule order <= 32.
     """
+    fine_rule = _doubled_rule(rule)
 
     def value(r):
         points = grid_points(r)
@@ -131,7 +132,7 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
             return float(np.dot(grid_weights(r), g))
 
     coarse = value(rule)
-    fine = value(gauss_hermite_rule(2 * rule.order))
+    fine = value(fine_rule)
     divergent = not (math.isfinite(coarse) and math.isfinite(fine)) or fine > 10.0 * coarse
     return ProbeResult("divergent" if divergent else "finite", coarse, fine)
 
@@ -200,13 +201,4 @@ def orthogonality_after_translation(n_rank: int, m_rank: int, tmap: TranslationM
     with s = za - z00.  At s = 0 this is the orthogonality table; any other
     shift breaks both the cross-rank zeros and the diagonal normalization.
     """
-    top = max(n_rank, m_rank)
-    if rule.order < 2 * top + 2:
-        raise ValueError(f"rule order {rule.order} insufficient; need >= {2 * top + 2}")
-    points = grid_points(rule) - tmap.shift
-    cols = (points[:, 0], points[:, 1], points[:, 2])
-    tensors = evaluate_basis(top, cols, dim=3, convention=PHYSICIST)
-    rows_n = np.atleast_2d(tensors[n_rank].data)
-    rows_m = np.atleast_2d(tensors[m_rank].data)
-    w = grid_weights(rule)
-    return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", w, rows_n, rows_m)
+    return _gram(n_rank, m_rank, rule, grid_points(rule) - tmap.shift)

@@ -186,6 +186,12 @@ def test_expand_rejects_bad_config():
     assert invoke(["expand", "--mass", "28", "--temperature", "300", "--quad-order", "40"])[0] == 2
 
 
+def test_library_quadrature_guards_exit_2():
+    assert invoke(["expand", "--mass", "28", "--temperature", "300", "--max-rank", "4", "--quad-order", "8"])[0] == 2
+    assert invoke(["verify", "translate", "--quad-order", "6"])[0] == 2
+    assert invoke(["verify", "scale", "--quad-order", "33"])[0] == 2
+
+
 def test_numeric_error_exits_3(monkeypatch):
     def boom(*args, **kwargs):
         raise NonFiniteIntegrandError((0.0, 0.0, 0.0))

@@ -5,6 +5,8 @@ import pytest
 
 from hermtensor.hermite import PROBABILIST
 from hermtensor.quadrature import (
+    ATOMIC_MASS,
+    BOLTZMANN,
     ExpansionCoefficients,
     NonFiniteIntegrandError,
     WeightSpec,
@@ -24,6 +26,7 @@ from hermtensor.symtensor import (
     perm_delta,
     scalar,
 )
+from hermtensor.transforms import ScalingMap, convergence_probe
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -284,6 +287,58 @@ def test_truncation_error_displaced_maxwellian_strictly_improves():
     rule = gauss_hermite_rule(14)
     errors = truncation_error(maxwellian((0.5, 0.0, 0.0)), 4, rule, f0=math.pi ** (-1.5), vectorized=True)
     assert np.all(np.diff(errors) < 0)
+
+
+# ----------------------------------------------------------------- contracts
+
+
+def test_each_grid_sampled_once():
+    order = 6
+    rule = gauss_hermite_rule(order)
+    f = maxwellian((0.3, 0.0, -0.2))
+    sampled = []
+
+    def counted(p):
+        sampled.append(len(p))
+        return f(p)
+
+    expand(counted, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert sampled == [order**3, (2 * order) ** 3]
+    sampled.clear()
+    truncation_error(counted, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert sampled == [order**3, (2 * order) ** 3]
+
+
+def test_rule_too_coarse_for_rank_raises():
+    # two nodes alias rank 6: a pure Maxwellian would read |a_6| ~ 3e-3
+    rule = gauss_hermite_rule(2)
+    with pytest.raises(ValueError, match="insufficient"):
+        expand(maxwellian((0, 0, 0)), 6, rule, f0=math.pi ** (-1.5), vectorized=True)
+    with pytest.raises(ValueError, match="insufficient"):
+        truncation_error(maxwellian((0, 0, 0)), 6, rule, f0=math.pi ** (-1.5), vectorized=True)
+
+
+@pytest.mark.parametrize("order", [33, 40])
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda rule: expand(maxwellian((0, 0, 0)), 1, rule, vectorized=True),
+        lambda rule: truncation_error(maxwellian((0, 0, 0)), 1, rule, vectorized=True),
+        lambda rule: l2_admissible(maxwellian((0, 0, 0)), rule, vectorized=True),
+        lambda rule: convergence_probe(ScalingMap(1.0), rule),
+    ],
+    ids=["expand", "truncation_error", "l2_admissible", "convergence_probe"],
+)
+def test_order_beyond_doubling_table_raises(order, probe):
+    with pytest.raises(ValueError, match="doubl"):
+        probe(gauss_hermite_rule(order))
+
+
+def test_physical_constants_match_scipy():
+    from scipy.constants import Boltzmann, atomic_mass
+
+    assert BOLTZMANN == Boltzmann
+    assert ATOMIC_MASS == atomic_mass
 
 
 # ----------------------------------------------------------------- WeightSpec

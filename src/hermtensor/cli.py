@@ -31,6 +31,7 @@ from .quadrature import (
     ExpansionCoefficients,
     NonFiniteIntegrandError,
     WeightSpec,
+    _require_order,
     expand,
     gauss_hermite_rule,
     ortho_matrix,
@@ -239,6 +240,7 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
     if not 0 <= args.max_rank <= 4:
         raise ValueError("max rank must be within 0..4")
     rule = gauss_hermite_rule(args.quad_order)
+    _require_order(rule, args.max_rank)
     rows = []
     for name, convention in (("physicist", PHYSICIST), ("probabilist", PROBABILIST)):
         worst = 0.0

@@ -9,9 +9,9 @@ the normalized symmetrization of H_n H_1 - 2n H_{n-1} I.  The probabilist
 family (Grad's He) uses seeds He0 = 1, He1 = z and the factor n in place of
 2n; the two are linked by He_n(z) = 2**(-n/2) H_n(z / sqrt(2)).
 
-A single recursion implementation drives every use: scalar points, batched
-grids (one numpy row per component) and exact coefficient tables, whose
-components are PolyScalar polynomials with rational coefficients.
+The recursion (the paper's definition) serves points and exact PolyScalar
+tables; rows on many points come from the product factorization H_n,i(z) =
+prod_a h_{m_a}(z_a).  Each route is the other's test oracle.
 """
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .symtensor import SUPPORTED_DIMS, SymTensor, identity, max_component_diff, scalar, sym_product
+from .symtensor import SUPPORTED_DIMS, SymTensor, canonical_index_tuples, identity, max_component_diff, scalar, sym_product
 
 __all__ = [
     "BasisEvaluation",
@@ -37,6 +38,7 @@ __all__ = [
     "hermite_prob",
     "hermite_symbolic",
     "product_oracle",
+    "product_rows",
 ]
 
 
@@ -250,37 +252,53 @@ def convert(basis: BasisEvaluation, target: HermiteConvention) -> BasisEvaluatio
     return BasisEvaluation(target, basis.max_rank, point, values)
 
 
+def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:
+    """1-D h_0..h_max_n at x on a new leading axis: h_{k+1} = factor x h_k - factor k h_{k-1}."""
+    if max_n < 0:
+        raise ValueError("order must be non-negative")
+    x = np.asarray(x, dtype=np.float64)
+    table = [np.ones_like(x), factor * x]
+    for k in range(1, max_n):
+        table.append(factor * x * table[k] - factor * k * table[k - 1])
+    return np.stack(table[: max_n + 1])
+
+
 def hermite_1d(n: int, x):
     """Classical 1-D physicist Hermite polynomial h_n by its recurrence."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    h_prev = np.ones_like(np.asarray(x, dtype=np.float64))
-    if n == 0:
-        return h_prev if h_prev.shape else float(h_prev)
-    h = 2.0 * np.asarray(x, dtype=np.float64)
-    for k in range(1, n):
-        h, h_prev = 2.0 * np.asarray(x) * h - 2.0 * k * h_prev, h
-    return h if np.ndim(h) else float(h)
+    h = _hermite_table(n, x)[n]
+    return h if h.ndim else float(h)
+
+
+@lru_cache(maxsize=None)
+def _axis_counts(rank: int, dim: int) -> np.ndarray:
+    """(components, dim) table: how often each axis appears in each canonical tuple."""
+    counts = np.array([[t.count(a) for a in range(dim)] for t in canonical_index_tuples(rank, dim)], dtype=np.intp)
+    counts.setflags(write=False)
+    return counts
+
+
+def product_rows(max_rank: int, points, convention=PHYSICIST) -> list[np.ndarray]:
+    """Rows H_n,i = prod_a h_{m_a}(z_a), m_a the count of axis a in i, at points of shape (K, d).
+
+    Entry n, for n = 0..max_rank, has shape (#components(n), K).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("points must have shape (K, d)")
+    table = _hermite_table(max_rank, pts.T, 2.0 if convention is PHYSICIST else 1.0)
+    rows = []
+    for n in range(max_rank + 1):
+        counts = _axis_counts(n, pts.shape[1])
+        row = table[counts[:, 0], 0]
+        for axis in range(1, pts.shape[1]):
+            row *= table[counts[:, axis], axis]
+        rows.append(row)
+    return rows
 
 
 def product_oracle(rank: int, z) -> SymTensor:
-    """Independent route to H_rank: per-axis products of 1-D polynomials.
-
-    The component at a multiset containing axis a with count m_a equals the
-    product over axes of h_{m_a}(z_a).
-    """
-    zs = tuple(float(c) for c in z)
-    dim = len(zs)
-
-    def component(t):
-        out = 1.0
-        for axis in range(dim):
-            count = sum(1 for a in t if a == axis)
-            if count:
-                out *= hermite_1d(count, zs[axis])
-        return out
-
-    return SymTensor.from_function(dim, rank, component)
+    """Independent route to H_rank at one point: per-axis products of 1-D polynomials."""
+    return SymTensor(len(z), rank, product_rows(rank, [z])[rank][:, 0])
 
 
 def grad_check(rank: int, z, h: float = 1e-5) -> float:

@@ -3,19 +3,20 @@
 Integrals are taken against the weight exp(-x**2) on each axis, tensorized
 over three dimensions.  Orthogonality tables, expansion coefficients and
 truncation errors are all reduced to weighted sums of basis values on the
-node grid; the basis rows come from the shared tensor recursion evaluated on
-every node at once.
+node grid; the basis rows come from the product-form kernel of the hermite
+module, evaluated on every node at once.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, PROBABILIST, HermiteConvention, evaluate_basis
+from .hermite import PHYSICIST, PROBABILIST, product_rows
 from .symtensor import SymTensor, multiplicity_vector, n_components
 
 __all__ = [
@@ -61,12 +62,13 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Rule of the given order for the weight exp(-x**2).
 
     Nodes are the roots of the order-``order`` 1-D physicist Hermite
     polynomial; with n nodes, polynomials through degree 2n-1 integrate
-    exactly.
+    exactly.  Rules are cached per order; their arrays are read-only.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be within 1..{MAX_ORDER}, got {order}")
@@ -130,17 +132,11 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     return float(np.dot(weights, values))
 
 
-def _basis_rows(max_rank: int, points: np.ndarray, convention: HermiteConvention):
-    cols = (points[:, 0], points[:, 1], points[:, 2])
-    tensors = evaluate_basis(max_rank, cols, dim=3, convention=convention)
-    return [np.atleast_2d(t.data) for t in tensors]
-
-
 def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points: np.ndarray, convention=PHYSICIST) -> np.ndarray:
     """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights at the given points."""
     top = max(m_rank, n_rank)
     _require_order(rule, top)
-    rows = _basis_rows(top, points, convention)
+    rows = product_rows(top, points, convention)
     return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m_rank], rows[n_rank])
 
 
@@ -236,7 +232,7 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     points, weights, values, g = sample
     _require_finite(values, points)
     weighted = weights * g
-    rows = _basis_rows(max_rank, points, PHYSICIST)
+    rows = product_rows(max_rank, points, PHYSICIST)
     coeffs = []
     for m in range(max_rank + 1):
         integrals = math.pi ** (-1.5) * rows[m] @ weighted
@@ -246,7 +242,7 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
 
 def _series(coeffs: ExpansionCoefficients, points: np.ndarray, top: int, rows=None) -> np.ndarray:
     if rows is None:
-        rows = _basis_rows(top, points, PHYSICIST)
+        rows = product_rows(top, points, PHYSICIST)
     total = np.zeros(len(points))
     for n in range(top + 1):
         mult = multiplicity_vector(n, 3)

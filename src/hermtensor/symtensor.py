@@ -40,8 +40,6 @@ __all__ = [
 
 SUPPORTED_DIMS = (3, 6)
 
-_PERM_DELTA_MAX_RANK = 8
-
 
 def _check_dim(dim: int) -> None:
     if dim not in SUPPORTED_DIMS:
@@ -324,20 +322,13 @@ def sym_raw(a: SymTensor, b: SymTensor) -> SymTensor:
 def perm_delta(i, j) -> int:
     """Generalized Kronecker delta of two rank-n index tuples.
 
-    Permanent of the 0/1 matrix M[a][b] = [i_a == j_b], computed by direct
-    permutation enumeration (practical for rank <= 8).
+    Permanent of the 0/1 matrix M[a][b] = [i_a == j_b]: zero unless i and j
+    are one multiset, else the product of its label counts' factorials.
     """
-    ti, tj = tuple(i), tuple(j)
+    ti, tj = sorted(i), sorted(j)
     if len(ti) != len(tj):
         raise ValueError("index ranks differ")
-    rank = len(ti)
-    if rank > _PERM_DELTA_MAX_RANK:
-        raise ValueError(f"perm_delta enumerates permutations; rank {rank} > {_PERM_DELTA_MAX_RANK}")
-    total = 0
-    for perm in itertools.permutations(range(rank)):
-        if all(ti[a] == tj[perm[a]] for a in range(rank)):
-            total += 1
-    return total
+    return math.factorial(len(ti)) // multiplicity(ti) if ti == tj else 0
 
 
 def inner(a: SymTensor, b: SymTensor) -> float:

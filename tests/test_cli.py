@@ -108,6 +108,13 @@ def test_verify_ortho_low_order_exits_2():
     assert invoke(["verify", "ortho", "--max-rank", "4", "--quad-order", "6"])[0] == 2
 
 
+def test_verify_ortho_order_guard_names_requested_rank(capsys):
+    code, out = invoke(["verify", "ortho", "--max-rank", "4", "--quad-order", "6"])
+    assert code == 2
+    assert out == ""
+    assert "rank 4" in capsys.readouterr().err
+
+
 def test_verify_scale_reports_expected_divergence():
     code, report = invoke_json(["verify", "scale", "--alpha", "2.0"])
     assert code == 0

@@ -16,7 +16,9 @@ from hermtensor.hermite import (
     hermite_prob,
     hermite_symbolic,
     product_oracle,
+    product_rows,
 )
+from hermtensor.quadrature import gauss_hermite_rule, grid_points
 from hermtensor.symtensor import (
     canonical_index_tuples,
     identity,
@@ -111,6 +113,33 @@ def test_recursion_matches_product_oracle_randomly():
             want = product_oracle(rank, z)
             scale = max(1.0, float(np.max(np.abs(want.data))))
             assert max_component_diff(basis[rank], want) < 1e-10 * scale
+
+
+def recursion_rows(max_rank, points, convention):
+    cols = [points[:, a] for a in range(points.shape[1])]
+    return [np.atleast_2d(t.data) for t in evaluate_basis(max_rank, cols, dim=points.shape[1], convention=convention)]
+
+
+def assert_rows_agree(got, want):
+    """Per point and rank, relative to max(1, largest |component|) as the pointwise tests scale."""
+    assert len(got) == len(want)
+    for rank, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape, rank
+        scale = np.maximum(1.0, np.max(np.abs(w), axis=0))
+        assert np.max(np.abs(g - w) / scale) < 1e-13, rank
+
+
+@pytest.mark.parametrize("convention", [PHYSICIST, PROBABILIST])
+@pytest.mark.parametrize("dim", [3, 6])
+def test_product_rows_match_batched_recursion(convention, dim):
+    pts = np.random.default_rng(dim).uniform(-4, 4, size=(40, dim))
+    assert_rows_agree(product_rows(8, pts, convention), recursion_rows(8, pts, convention))
+
+
+@pytest.mark.parametrize("convention", [PHYSICIST, PROBABILIST])
+def test_grid_basis_rows_match_batched_recursion(convention):
+    pts = grid_points(gauss_hermite_rule(16))
+    assert_rows_agree(product_rows(6, pts, convention), recursion_rows(6, pts, convention))
 
 
 def test_parity():

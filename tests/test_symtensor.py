@@ -213,9 +213,26 @@ def test_perm_delta_is_symmetric_and_order_invariant(i, j):
     assert perm_delta(sorted(i), sorted(j)) == perm_delta(i, j)
 
 
-def test_perm_delta_rank_cap():
-    with pytest.raises(ValueError):
-        perm_delta((0,) * 9, (0,) * 9)
+def permanent_bruteforce(i, j):
+    """Oracle: count the slot permutations that carry i onto j."""
+    return sum(all(i[a] == j[p[a]] for a in range(len(i))) for p in itertools.permutations(range(len(i))))
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_perm_delta_closed_form_matches_bruteforce_permanent(dim):
+    rng = np.random.default_rng(dim)
+    for rank in range(7):
+        for _ in range(20):
+            i = tuple(int(a) for a in rng.integers(0, dim, rank))
+            for j in (tuple(rng.permutation(i)), tuple(int(a) for a in rng.integers(0, dim, rank))):
+                assert perm_delta(i, j) == permanent_bruteforce(i, j), (i, j)
+
+
+def test_perm_delta_rank_ten():
+    i = (2, 0, 1, 0, 2, 1, 0, 2, 1, 0)
+    assert perm_delta(i, sorted(i)) == math.factorial(4) * math.factorial(3) ** 2
+    assert perm_delta(i, (0,) * 4 + (1,) * 4 + (2,) * 2) == 0
+    assert perm_delta((5,) * 10, (5,) * 10) == math.factorial(10)
 
 
 # ---------------------------------------------------------------- inner

@@ -59,6 +59,9 @@ _FRAMES = (SPECIES_FRAME, COM_RELATIVE_FRAME)
 # rank cap for the public 6-D operations; C(9, 5) = 126 components at the top
 MAX_MIXED_RANK = 4
 
+# the subscript labels np.einsum accepts
+_EINSUM_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
 
 @dataclass(frozen=True)
 class SpeciesPair:
@@ -217,8 +220,8 @@ def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
     if t.rank == 0:
         return t
     matrix = rot.matrix
-    out = "abcd"[: t.rank]
-    contracted = "ijkl"[: t.rank]
+    contracted = _EINSUM_LABELS[8 : 8 + t.rank]  # "ijkl..."
+    out = "".join(c for c in _EINSUM_LABELS if c not in contracted)[: t.rank]  # "abcd..."
     subscripts = ",".join(o + i for o, i in zip(out, contracted)) + "," + contracted + "->" + out
     dense = np.einsum(subscripts, *([matrix] * t.rank), t.to_dense())
     return SymTensor.from_dense(dense)

@@ -4,13 +4,16 @@ Integrals are taken against the weight exp(-x**2) on each axis, tensorized
 over three dimensions.  Orthogonality tables, expansion coefficients and
 truncation errors are all reduced to weighted sums of basis values on the
 node grid; the basis rows come from the product-form kernel of the hermite
-module, evaluated on every node at once.
+module, evaluated on every node at once.  The grid (node triples, weights,
+the factor exp(+z.z)) and its physicist basis rows depend only on the rule,
+so each rule instance builds them once, on first use, and keeps them
+read-only.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,11 +54,17 @@ class NonFiniteIntegrandError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """1-D Gauss-Hermite nodes and weights, tensorized on demand."""
+    """1-D Gauss-Hermite nodes and weights, tensorized on demand.
+
+    The 3-D grid and its basis rows are built once per rule instance, on
+    first use, and are read-only; a rule built by hand with other nodes
+    gets a grid of its own.
+    """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -88,16 +97,39 @@ def _doubled_rule(rule: QuadratureRule) -> QuadratureRule:
     return gauss_hermite_rule(2 * rule.order)
 
 
+def _cached(rule: QuadratureRule, key: str, build):
+    """The rule's grid entry ``key``, built on first use and read-only."""
+    value = rule._grid.get(key)
+    if value is None:
+        value = rule._grid[key] = build()
+        value.setflags(write=False)
+    return value
+
+
 def grid_points(rule: QuadratureRule) -> np.ndarray:
-    """All 3-D node triples, shape (order**3, 3), in sorted node order."""
+    """All 3-D node triples, shape (order**3, 3), in sorted node order; read-only."""
     x = rule.nodes
-    a, b, c = np.meshgrid(x, x, x, indexing="ij")
-    return np.column_stack([a.ravel(), b.ravel(), c.ravel()])
+    return _cached(rule, "points", lambda: np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3))
 
 
 def grid_weights(rule: QuadratureRule) -> np.ndarray:
+    """Product weights of the node triples, in grid_points order; read-only."""
     w = rule.weights
-    return (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    return _cached(rule, "weights", lambda: (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel())
+
+
+def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
+    """Physicist basis rows of rank 0..max_rank on the rule's grid; read-only.
+
+    The table is kept at the highest rank asked for so far; row n does not
+    depend on that top rank, so a lower rank reads a prefix of it.
+    """
+    rows = rule._grid.get("rows", ())
+    if len(rows) <= max_rank:
+        rows = rule._grid["rows"] = tuple(product_rows(max_rank, grid_points(rule), PHYSICIST))
+        for row in rows:
+            row.setflags(write=False)
+    return rows[: max_rank + 1]
 
 
 def _sample(f, rule: QuadratureRule, vectorized: bool):
@@ -110,7 +142,7 @@ def _sample(f, rule: QuadratureRule, vectorized: bool):
     else:
         values = np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
     with np.errstate(over="ignore"):
-        g = values * np.exp(np.sum(points**2, axis=1))
+        g = values * _cached(rule, "gauss", lambda: np.exp(np.sum(points**2, axis=1)))
     return points, grid_weights(rule), values, g
 
 
@@ -132,11 +164,11 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     return float(np.dot(weights, values))
 
 
-def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points: np.ndarray, convention=PHYSICIST) -> np.ndarray:
-    """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights at the given points."""
+def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points=None, convention=PHYSICIST) -> np.ndarray:
+    """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights, at the given points or its nodes."""
     top = max(m_rank, n_rank)
     _require_order(rule, top)
-    rows = product_rows(top, points, convention)
+    rows = _grid_rows(rule, top) if points is None else product_rows(top, points, convention)
     return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m_rank], rows[n_rank])
 
 
@@ -150,10 +182,9 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
     """
     if max(m_rank, n_rank) > 4:
         raise ValueError("orthogonality tables are supported for ranks <= 4")
-    points = grid_points(rule)
     if convention is PROBABILIST:
-        points = math.sqrt(2.0) * points
-    return _gram(m_rank, n_rank, rule, points, convention)
+        return _gram(m_rank, n_rank, rule, math.sqrt(2.0) * grid_points(rule), PROBABILIST)
+    return _gram(m_rank, n_rank, rule)
 
 
 class AdmissibilityResult(NamedTuple):
@@ -232,7 +263,7 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     points, weights, values, g = sample
     _require_finite(values, points)
     weighted = weights * g
-    rows = product_rows(max_rank, points, PHYSICIST)
+    rows = _grid_rows(rule, max_rank)
     coeffs = []
     for m in range(max_rank + 1):
         integrals = math.pi ** (-1.5) * rows[m] @ weighted

@@ -95,6 +95,16 @@ def _positions(rank: int, dim: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(canonical_index_tuples(rank, dim))}
 
 
+@lru_cache(maxsize=None)
+def _dense_positions(rank: int, dim: int) -> np.ndarray:
+    """(dim,)*rank table: the storage position of each dense index's canonical tuple."""
+    positions = _positions(rank, dim)
+    table = np.array([positions[tuple(sorted(i))] for i in itertools.product(range(dim), repeat=rank)], dtype=np.intp)
+    table = table.reshape((dim,) * rank)
+    table.setflags(write=False)
+    return table
+
+
 def multiplicity(index) -> int:
     """Number of distinct orderings of a canonical index tuple.
 
@@ -184,13 +194,7 @@ class SymTensor:
             raise TypeError("to_dense requires numeric components")
         if self.rank == 0:
             return np.asarray(self.data[0])
-        shape = (self.dim,) * self.rank + self.data.shape[1:]
-        dense = np.empty(shape, dtype=np.float64)
-        for t in canonical_index_tuples(self.rank, self.dim):
-            value = self.data[_positions(self.rank, self.dim)[t]]
-            for perm in set(itertools.permutations(t)):
-                dense[perm] = value
-        return dense
+        return self.data[_dense_positions(self.rank, self.dim)].astype(np.float64, copy=False)
 
     def indices(self):
         """Canonical MultiIndex objects in storage order."""

@@ -232,6 +232,20 @@ def test_rotate_identity_is_fixed():
     assert max_component_diff(rotate_rank_n(rot, identity(6)), identity(6)) < 1e-14
 
 
+def test_rotate_rank_n_einsum_subscripts(monkeypatch):
+    rot = BlockRotation.from_pair(pair_with_ratio(4.0))
+    einsum, seen = np.einsum, []
+
+    def recording(subscripts, *operands):
+        seen.append(subscripts)
+        return einsum(subscripts, *operands)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    for rank in range(1, 5):
+        rotate_rank_n(rot, SymTensor(6, rank, np.ones(math.comb(rank + 5, 5))))
+    assert seen == ["ai,i->a", "ai,bj,ij->ab", "ai,bj,ck,ijk->abc", "ai,bj,ck,dl,ijkl->abcd"]
+
+
 def test_rotate_rank_n_validation():
     rot = BlockRotation.from_pair(pair_with_ratio(1.0))
     with pytest.raises(ValueError):

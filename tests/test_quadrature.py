@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from hermtensor.hermite import PROBABILIST
+from hermtensor.hermite import PROBABILIST, product_rows
 from hermtensor.quadrature import (
     ATOMIC_MASS,
     BOLTZMANN,
     ExpansionCoefficients,
     NonFiniteIntegrandError,
+    QuadratureRule,
     WeightSpec,
+    _grid_rows,
     expand,
     gauss_hermite_rule,
+    grid_points,
+    grid_weights,
     integrate3,
     l2_admissible,
     ortho_matrix,
@@ -307,6 +311,62 @@ def test_each_grid_sampled_once():
     sampled.clear()
     truncation_error(counted, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
     assert sampled == [order**3, (2 * order) ** 3]
+
+
+def unshared_rule(order):
+    """A rule equal to the cached one of that order, but with an empty grid of its own."""
+    rule = gauss_hermite_rule(order)
+    return QuadratureRule(order, rule.nodes.copy(), rule.weights.copy())
+
+
+def bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_grid_cache_matches_fresh_build():
+    rule, fresh = unshared_rule(16), unshared_rule(16)
+    points = grid_points(rule)
+    assert grid_points(rule) is points and grid_weights(rule) is grid_weights(rule)
+    assert bits([points, grid_weights(rule)]) == bits([grid_points(fresh), grid_weights(fresh)])
+    integrate3(lambda p: np.ones(len(p)), rule, vectorized=True)
+    assert rule._grid["gauss"].tobytes() == np.exp(np.sum(grid_points(fresh) ** 2, axis=1)).tobytes()
+    for rank in (2, 6, 4):
+        rows = _grid_rows(rule, rank)
+        assert len(rows) == rank + 1
+        assert bits(rows) == bits(product_rows(rank, grid_points(fresh)))
+    # rank 4 after rank 6 reads a prefix of the rank-6 table
+    assert all(a is b for a, b in zip(_grid_rows(rule, 4), _grid_rows(rule, 6)))
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_grid_cache_is_read_only(vectorized):
+    rule = unshared_rule(6)
+    f = maxwellian((0.3, 0.0, -0.2))
+    before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], *_grid_rows(rule, 2)]
+    assert not any(a.flags.writeable for a in cached)
+
+    def overwrites_points(p):
+        p *= 0.0
+        return f(p)
+
+    with pytest.raises(ValueError, match="read-only"):
+        expand(overwrites_points, 2, rule, f0=math.pi ** (-1.5), vectorized=vectorized)
+    after = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert bits(c.data for c in after.coeffs) == bits(c.data for c in before.coeffs)
+
+
+def test_hand_built_rule_has_its_own_grid():
+    shared = gauss_hermite_rule(16)
+    scaled = QuadratureRule(16, shared.nodes * 1.01, shared.weights)
+    f = maxwellian((0.3, 0.0, -0.2))
+    np.testing.assert_array_equal(grid_points(scaled), 1.01 * grid_points(unshared_rule(16)))
+    assert not np.array_equal(_grid_rows(scaled, 2)[1], _grid_rows(shared, 2)[1])
+    assert grid_points(shared).tobytes() == grid_points(unshared_rule(16)).tobytes()
+    a = expand(f, 2, shared, f0=math.pi ** (-1.5), vectorized=True)
+    b = expand(f, 2, scaled, f0=math.pi ** (-1.5), vectorized=True)
+    assert not np.array_equal(a[1].data, b[1].data)
+    assert not np.array_equal(scaled._grid["gauss"], shared._grid["gauss"])
 
 
 def test_rule_too_coarse_for_rank_raises():

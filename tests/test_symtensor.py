@@ -127,6 +127,21 @@ def test_dense_roundtrip():
     assert np.array_equal(back.data, t.data)
 
 
+@pytest.mark.parametrize("dim", [3, 6])
+@pytest.mark.parametrize("rank", range(6))
+def test_to_dense_matches_permutation_fill(rank, dim):
+    rng = np.random.default_rng(rank)
+    for batch in ((), (4,)):
+        t = SymTensor(dim, rank, rng.standard_normal((n_components(rank, dim),) + batch))
+        expected = np.empty((dim,) * rank + batch)
+        for pos, idx in enumerate(canonical_index_tuples(rank, dim)):
+            for perm in set(itertools.permutations(idx)):
+                expected[perm] = t.data[pos]
+        dense = t.to_dense()
+        assert dense.dtype == np.float64 and dense.shape == expected.shape
+        assert dense.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------- sym ops
 
 

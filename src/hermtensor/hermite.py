@@ -280,12 +280,12 @@ def _axis_counts(rank: int, dim: int) -> np.ndarray:
 def product_rows(max_rank: int, points, convention=PHYSICIST) -> list[np.ndarray]:
     """Rows H_n,i = prod_a h_{m_a}(z_a), m_a the count of axis a in i, at points of shape (K, d).
 
-    Entry n, for n = 0..max_rank, has shape (#components(n), K).
+    Entry n, for n = 0..max_rank, has shape (#components(n), K); coordinates are read axis-major, as (d, K).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must have shape (K, d)")
-    table = _hermite_table(max_rank, pts.T, 2.0 if convention is PHYSICIST else 1.0)
+    table = _hermite_table(max_rank, np.ascontiguousarray(pts.T), 2.0 if convention is PHYSICIST else 1.0)
     rows = []
     for n in range(max_rank + 1):
         counts = _axis_counts(n, pts.shape[1])

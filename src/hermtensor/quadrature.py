@@ -7,7 +7,8 @@ node grid; the basis rows come from the product-form kernel of the hermite
 module, evaluated on every node at once.  The grid (node triples, weights,
 the factor exp(+z.z)) and its physicist basis rows depend only on the rule,
 so each rule instance builds them once, on first use, and keeps them
-read-only.
+read-only.  The node triples are stored axis-major, so a sum over a
+point's coordinates is three contiguous vector adds.
 """
 from __future__ import annotations
 
@@ -52,19 +53,19 @@ class NonFiniteIntegrandError(ArithmeticError):
         super().__init__(f"integrand is not finite at node {self.node}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """1-D Gauss-Hermite nodes and weights, tensorized on demand.
 
     The 3-D grid and its basis rows are built once per rule instance, on
     first use, and are read-only; a rule built by hand with other nodes
-    gets a grid of its own.
+    gets a grid of its own.  Rules compare and hash by identity.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    _grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grid: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -107,9 +108,9 @@ def _cached(rule: QuadratureRule, key: str, build):
 
 
 def grid_points(rule: QuadratureRule) -> np.ndarray:
-    """All 3-D node triples, shape (order**3, 3), in sorted node order; read-only."""
+    """All 3-D node triples, shape (order**3, 3), in sorted node order; read-only, stored axis-major."""
     x = rule.nodes
-    return _cached(rule, "points", lambda: np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3))
+    return _cached(rule, "points", lambda: np.stack(np.meshgrid(x, x, x, indexing="ij")).reshape(3, -1).T.copy(order="F"))
 
 
 def grid_weights(rule: QuadratureRule) -> np.ndarray:
@@ -271,14 +272,12 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample, rows
 
 
-def _series(coeffs: ExpansionCoefficients, points: np.ndarray, top: int, rows=None) -> np.ndarray:
-    if rows is None:
-        rows = product_rows(top, points, PHYSICIST)
-    total = np.zeros(len(points))
-    for n in range(top + 1):
-        mult = multiplicity_vector(n, 3)
-        total += (mult * np.atleast_1d(coeffs[n].data)) @ rows[n]
-    return total
+def _partial_sums(coeffs: ExpansionCoefficients, rows):
+    """sum over n <= N of inner(a_n, H_n) at each point, for N = 0, 1, ...; one array, updated in place."""
+    total = np.zeros(rows[0].shape[1])
+    for n, row in enumerate(rows):
+        total += (multiplicity_vector(n, 3) * np.atleast_1d(coeffs[n].data)) @ row
+        yield total
 
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
@@ -288,7 +287,8 @@ def reconstruct(coeffs: ExpansionCoefficients, z):
     pts = np.atleast_2d(pts)
     if pts.shape[1] != 3:
         raise ValueError("points must be 3-vectors")
-    out = coeffs.f0 * np.exp(-np.sum(pts**2, axis=1)) * _series(coeffs, pts, coeffs.max_rank)
+    *_, series = _partial_sums(coeffs, product_rows(coeffs.max_rank, pts, PHYSICIST))
+    out = coeffs.f0 * np.exp(-np.sum(pts**2, axis=1)) * series
     return float(out[0]) if single else out
 
 
@@ -299,10 +299,10 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     which the expansion is an orthogonal projection, so the sequence cannot
     increase as ranks are added.
     """
-    coeffs, (points, weights, _, g), rows = _project(f, max_rank, rule, f0, vectorized)
+    coeffs, (_, weights, _, g), rows = _project(f, max_rank, rule, f0, vectorized)
     errors = np.empty(max_rank + 1)
-    for top in range(max_rank + 1):
-        residual = g - f0 * _series(coeffs, points, top, rows)
+    for top, partial in enumerate(_partial_sums(coeffs, rows)):
+        residual = g - f0 * partial
         errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(np.dot(weights, residual * residual))))
     return errors
 

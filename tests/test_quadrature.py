@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermtensor.hermite import PROBABILIST, product_rows
 from hermtensor.quadrature import (
@@ -25,6 +28,7 @@ from hermtensor.quadrature import (
 from hermtensor.symtensor import (
     SymTensor,
     canonical_index_tuples,
+    multiplicity_vector,
     n_components,
     outer_power,
     perm_delta,
@@ -59,6 +63,41 @@ def test_rule_moments(order):
         assert np.dot(w, x**2) == pytest.approx(SQRT_PI / 2, rel=1e-12)
     if order >= 3:
         assert np.dot(w, x**4) == pytest.approx(3 * SQRT_PI / 4, rel=1e-12)
+
+
+def gauss_moment(k):
+    """Closed-form Integral x**k exp(-x**2) dx and the absolute moment it is measured against."""
+    absolute = math.gamma((k + 1) / 2)
+    return (absolute if k % 2 == 0 else 0.0), absolute
+
+
+@given(st.integers(1, 64))
+@example(1)
+@example(64)
+@settings(max_examples=64, deadline=None)
+def test_rule_exact_through_degree_2n_minus_1(order):
+    rule = gauss_hermite_rule(order)
+    for k in range(2 * order):
+        exact, absolute = gauss_moment(k)
+        assert abs(float(np.dot(rule.weights, rule.nodes**k)) - exact) <= 1e-10 * absolute, k
+
+
+@st.composite
+def order_and_degrees(draw):
+    order = draw(st.integers(1, 64))
+    return order, tuple(draw(st.integers(0, 2 * order - 1)) for _ in range(3))
+
+
+@given(order_and_degrees())
+@example((1, (1, 0, 1)))
+@example((64, (127, 126, 0)))
+@settings(max_examples=30, deadline=None)
+def test_product_monomial_exact_through_integrate3(case):
+    order, degrees = case
+    exact, absolute = (math.prod(m) for m in zip(*map(gauss_moment, degrees)))
+    a, b, c = degrees
+    value = integrate3(lambda p: p[:, 0] ** a * p[:, 1] ** b * p[:, 2] ** c, gauss_hermite_rule(order), vectorized=True)
+    assert abs(value - exact) <= 1e-10 * absolute
 
 
 def test_rule_order_bounds():
@@ -287,6 +326,49 @@ def test_truncation_error_even_distribution_flat_step():
     assert np.all(np.diff(errors) <= 1e-9)
 
 
+def per_rank_truncation_error(f, max_rank, rule, f0, vectorized):
+    """Each rank's residual rebuilt from rank 0, as truncation_error once computed it."""
+    coeffs = expand(f, max_rank, rule, f0, vectorized=vectorized)
+    points, weights = grid_points(rule), grid_weights(rule)
+    values = f(points) if vectorized else np.array([f(p) for p in points])
+    with np.errstate(over="ignore"):
+        g = values * np.exp(np.sum(points**2, axis=1))
+    rows = product_rows(max_rank, points)
+    errors = []
+    for top in range(max_rank + 1):
+        series = np.zeros(len(points))
+        for n in range(top + 1):
+            series += (multiplicity_vector(n, 3) * np.atleast_1d(coeffs[n].data)) @ rows[n]
+        residual = g - f0 * series
+        errors.append(math.sqrt(max(0.0, math.pi ** (-1.5) * float(np.dot(weights, residual * residual)))))
+    return np.array(errors)
+
+
+def drifting_maxwellian(u, T):
+    shift = np.asarray(u, dtype=np.float64)
+    return lambda z: T**-1.5 * np.exp(-np.sum((z - shift) ** 2, axis=1) / T)
+
+
+@pytest.mark.parametrize(
+    "f, vectorized",
+    [
+        (drifting_maxwellian((0.3, -0.5, 0.2), 1.0), True),
+        (drifting_maxwellian((0.3, -0.5, 0.2), 1.3), True),
+        (drifting_maxwellian((0.3, -0.5, 0.2), 3.0), True),
+        (lambda p: math.exp(-float(p @ p) / 1.3) * (1.0 + 0.1 * p[0]), False),
+    ],
+    ids=["T=1", "T=1.3", "T=3", "pointwise"],
+)
+def test_truncation_error_matches_per_rank_recomputation(f, vectorized):
+    rule = gauss_hermite_rule(16)
+    f0 = math.pi ** (-1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # T = 3 fails the stability probe by design
+        want = per_rank_truncation_error(f, 6, rule, f0, vectorized)
+        got = truncation_error(f, 6, rule, f0, vectorized=vectorized)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_truncation_error_displaced_maxwellian_strictly_improves():
     rule = gauss_hermite_rule(14)
     errors = truncation_error(maxwellian((0.5, 0.0, 0.0)), 4, rule, f0=math.pi ** (-1.5), vectorized=True)
@@ -336,6 +418,25 @@ def test_grid_cache_matches_fresh_build():
         assert bits(rows) == bits(product_rows(rank, grid_points(fresh)))
     # rank 4 after rank 6 reads a prefix of the rank-6 table
     assert all(a is b for a, b in zip(_grid_rows(rule, 4), _grid_rows(rule, 6)))
+
+
+def test_grid_points_axis_major():
+    rule = unshared_rule(16)
+    points = grid_points(rule)
+    assert points.shape == (16**3, 3) and points.T.flags.c_contiguous
+    x = rule.nodes
+    row_major = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert points.tobytes() == row_major.tobytes()
+    assert not points.flags.writeable and (points.base is None or not points.base.flags.writeable)
+
+
+def test_rule_equality_is_identity():
+    rule = gauss_hermite_rule(4)
+    copy = QuadratureRule(4, rule.nodes.copy(), rule.weights.copy())
+    assert rule == gauss_hermite_rule(4) and rule == rule
+    assert rule != copy and not rule == copy
+    keyed = {rule: "cached", copy: "hand-built"}
+    assert keyed[gauss_hermite_rule(4)] == "cached" and keyed[copy] == "hand-built"
 
 
 @pytest.mark.parametrize("vectorized", [True, False])

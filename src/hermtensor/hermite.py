@@ -20,11 +20,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .symtensor import SUPPORTED_DIMS, SymTensor, canonical_index_tuples, identity, max_component_diff, scalar, sym_product
+from .symtensor import SUPPORTED_DIMS, SymTensor, _axis_counts, identity, max_component_diff, scalar, sym_product
 
 __all__ = [
     "BasisEvaluation",
@@ -267,14 +266,6 @@ def hermite_1d(n: int, x):
     """Classical 1-D physicist Hermite polynomial h_n by its recurrence."""
     h = _hermite_table(n, x)[n]
     return h if h.ndim else float(h)
-
-
-@lru_cache(maxsize=None)
-def _axis_counts(rank: int, dim: int) -> np.ndarray:
-    """(components, dim) table: how often each axis appears in each canonical tuple."""
-    counts = np.array([[t.count(a) for a in range(dim)] for t in canonical_index_tuples(rank, dim)], dtype=np.intp)
-    counts.setflags(write=False)
-    return counts
 
 
 def product_rows(max_rank: int, points, convention=PHYSICIST) -> list[np.ndarray]:

@@ -20,15 +20,7 @@ import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
 from .quadrature import BOLTZMANN, ExpansionCoefficients, reconstruct
-from .symtensor import (
-    SymTensor,
-    canonical_index_tuples,
-    inner,
-    max_component_diff,
-    multiplicity_vector,
-    n_components,
-    sym_product,
-)
+from .symtensor import SymTensor, _axis_counts, _count_positions, inner, max_component_diff, n_components
 
 __all__ = [
     "BOLTZMANN",
@@ -236,17 +228,21 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     return max(max_component_diff(a, b) for a, b in zip(at_rotated, rotated))
 
 
-def _embed_block(t: SymTensor, offset: int) -> SymTensor:
-    """Lift a 3-D tensor into dimension 6 on one block of axes."""
-    if t.rank == 0:
-        return SymTensor(6, 0, [float(t.data[0])])
-    values = np.zeros(n_components(t.rank, 6))
-    source = {idx: v for idx, v in zip(canonical_index_tuples(t.rank, 3), t.data)}
-    for pos, idx in enumerate(canonical_index_tuples(t.rank, 6)):
-        shifted = tuple(i - offset for i in idx)
-        if all(0 <= i <= 2 for i in shifted):
-            values[pos] = source[shifted]
-    return SymTensor(6, t.rank, values)
+def _block_product(upper: SymTensor, lower: SymTensor) -> SymTensor:
+    """sym_product of 3-D tensors placed on the upper and on the lower block, in closed form.
+
+    A sorted 6-D tuple lists its m upper labels first, so of its C(N, m) slot
+    splits only that one pairs two nonzero block entries; the others add zeros.
+    """
+    m, N = upper.rank, upper.rank + lower.rank
+    counts = _axis_counts(N, 6)
+    sel = np.flatnonzero(counts[:, :3].sum(axis=1) == m)
+    left = upper.data[_count_positions(counts[sel, :3], m, 3)]
+    right = lower.data[_count_positions(counts[sel, 3:], N - m, 3)]
+    values = np.zeros(n_components(N, 6))
+    # + 0.0: summed with the zero splits, a -0.0 product becomes +0.0 before the division
+    values[sel] = (left * right + 0.0) / math.comb(N, m)
+    return SymTensor(6, N, values)
 
 
 def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients) -> list[SymTensor]:
@@ -262,14 +258,9 @@ def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoeffi
     top = coeff_s.max_rank + coeff_sp.max_rank
     stacked = []
     for N in range(top + 1):
-        total = None
-        for n in range(coeff_s.max_rank + 1):
-            m = N - n
-            if not 0 <= m <= coeff_sp.max_rank:
-                continue
-            piece = sym_product(_embed_block(coeff_sp[m], 0), _embed_block(coeff_s[n], 3))
-            total = piece if total is None else total + piece
-        stacked.append(total if total is not None else SymTensor(6, N, np.zeros(n_components(N, 6))))
+        lowest = max(0, N - coeff_sp.max_rank)
+        pieces = [_block_product(coeff_sp[N - n], coeff_s[n]) for n in range(lowest, min(N, coeff_s.max_rank) + 1)]
+        stacked.append(sum(pieces[1:], pieces[0]))
     return stacked
 
 

@@ -5,6 +5,10 @@ multiset of axis labels, C(n+d-1, d-1) values in total.  Tensors here store
 exactly those canonical components, ordered lexicographically by sorted index
 tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 
+The module owns the label-count table of canonical storage (how often each
+axis appears in each tuple); symmetrized products read a split plan built
+once per rank pair from those tables.
+
 Components are float64 in ordinary use.  The same operations also accept
 components from other rings that support +, * and division by integers:
 batched evaluation stores one numpy row per component, and the coefficient
@@ -90,6 +94,11 @@ def canonical_index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations_with_replacement(range(dim), rank))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=None)
 def _positions(rank: int, dim: int) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(canonical_index_tuples(rank, dim))}
@@ -100,9 +109,7 @@ def _dense_positions(rank: int, dim: int) -> np.ndarray:
     """(dim,)*rank table: the storage position of each dense index's canonical tuple."""
     positions = _positions(rank, dim)
     table = np.array([positions[tuple(sorted(i))] for i in itertools.product(range(dim), repeat=rank)], dtype=np.intp)
-    table = table.reshape((dim,) * rank)
-    table.setflags(write=False)
-    return table
+    return _frozen(table.reshape((dim,) * rank))
 
 
 def multiplicity(index) -> int:
@@ -120,9 +127,7 @@ def multiplicity(index) -> int:
 
 @lru_cache(maxsize=None)
 def multiplicity_vector(rank: int, dim: int) -> np.ndarray:
-    out = np.array([multiplicity(t) for t in canonical_index_tuples(rank, dim)], dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array([multiplicity(t) for t in canonical_index_tuples(rank, dim)], dtype=np.float64))
 
 
 def _component_array(values) -> np.ndarray:
@@ -133,8 +138,7 @@ def _component_array(values) -> np.ndarray:
         arr = np.empty(len(values), dtype=object)
         for i, v in enumerate(values):
             arr[i] = v
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 class SymTensor:
@@ -158,8 +162,7 @@ class SymTensor:
                 f"expected {n_components(rank, dim)} components for rank {rank}, dim {dim}, got {len(arr)}"
             )
         if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
+            arr = _frozen(arr.copy())
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "data", arr)
@@ -274,53 +277,66 @@ def outer_power(vector, power: int) -> SymTensor:
     return SymTensor.from_function(len(vec), power, component)
 
 
-def _grouped_split_sums(a: SymTensor, b: SymTensor) -> list:
-    """Per canonical output tuple, sum A[left]*B[right] over position splits.
+@lru_cache(maxsize=None)
+def _axis_counts(rank: int, dim: int) -> np.ndarray:
+    """(components, dim) table: how often each axis appears in each canonical tuple."""
+    return _frozen(np.array([[t.count(a) for a in range(dim)] for t in canonical_index_tuples(rank, dim)], dtype=np.intp))
 
-    Splitting the p+q slots of an output tuple I into p positions for A and
-    q for B depends only on the resulting sub-multisets, so equal splits are
-    grouped and counted instead of enumerated.
+
+def _count_positions(counts: np.ndarray, rank: int, dim: int) -> np.ndarray:
+    """Storage positions of the rank-``rank`` tuples with the given label-count rows."""
+    radix = (rank + 1) ** np.arange(dim - 1, -1, -1)
+    keys = _axis_counts(rank, dim) @ radix  # lexicographic storage order makes these strictly decreasing
+    return np.searchsorted(-keys, -(counts @ radix))
+
+
+@lru_cache(maxsize=None)
+def _split_plan(p: int, q: int, dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Layers (out, left, right, count) of read-only arrays for rank-p times rank-q products.
+
+    An output tuple I with label counts c splits into a rank-p sub-multiset
+    L <= c and the rank-q rest I - L in prod_a C(c_a, L_a) of its C(p+q, p)
+    position splits.  Layer k lists the k-th L, in canonical order, of every
+    output that has one: its output position, the storage position of L and
+    of I - L, and that split count.
     """
-    p, q, dim = a.rank, b.rank, a.dim
-    pos_a = _positions(p, dim)
-    pos_b = _positions(q, dim)
-    out = []
-    for full in canonical_index_tuples(p + q, dim):
-        groups: dict[tuple, int] = {}
-        for comb in itertools.combinations(range(p + q), p):
-            left = tuple(full[k] for k in comb)
-            it = iter(comb)
-            nxt = next(it, None)
-            right = []
-            for k, label in enumerate(full):
-                if k == nxt:
-                    nxt = next(it, None)
-                else:
-                    right.append(label)
-            key = (left, tuple(right))
-            groups[key] = groups.get(key, 0) + 1
-        acc = 0
-        for (left, right), count in groups.items():
-            term = a.data[pos_a[left]] * b.data[pos_b[right]]
-            acc = acc + count * term
-        out.append(acc)
-    return out
+    full = _axis_counts(p + q, dim)
+    sub = _axis_counts(p, dim)
+    out, left = np.nonzero(np.all(sub[None, :, :] <= full[:, None, :], axis=2))
+    c, ell = full[out], sub[left]
+    right = _count_positions(c - ell, q, dim)
+    binom = np.array([[math.comb(n, k) for k in range(p + q + 1)] for n in range(p + q + 1)], dtype=np.intp)
+    count = np.prod(binom[c, ell], axis=1)
+    # np.nonzero runs output-major, so each output's splits are contiguous and in canonical order
+    layer = np.arange(len(out)) - np.searchsorted(out, out)
+    return tuple(tuple(_frozen(arr[layer == k]) for arr in (out, left, right, count)) for k in range(layer.max() + 1))
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Normalized symmetrized product: symmetrization of a (x) b divided by (p+q)!."""
+    """Normalized symmetrized product: symmetrization of a (x) b divided by (p+q)!.
+
+    Each output sums count * A[L] * B[I - L] over its split plan, starting from
+    zero and in canonical order of L, then divides by C(p+q, p).  Batched rows
+    and object components (exact PolyScalar tables) follow the same loop.
+    """
     if a.dim != b.dim:
         raise ValueError("dim mismatch")
-    sums = _grouped_split_sums(a, b)
-    binom = math.comb(a.rank + b.rank, a.rank)
-    return SymTensor(a.dim, a.rank + b.rank, [s / binom for s in sums])
+    p, q = a.rank, b.rank
+    x, y = a.data, b.data
+    # batched rows sit on trailing axes; line them up against scalar components
+    x = x.reshape(x.shape[:1] + (1,) * (y.ndim - x.ndim) + x.shape[1:])
+    y = y.reshape(y.shape[:1] + (1,) * (x.ndim - y.ndim) + y.shape[1:])
+    shape = (n_components(p + q, a.dim),) + np.broadcast_shapes(x.shape[1:], y.shape[1:])
+    acc = np.zeros(shape, dtype=np.result_type(x, y, np.float64))
+    spread = (slice(None),) + (None,) * (acc.ndim - 1)
+    for out, left, right, count in _split_plan(p, q, a.dim):
+        acc[out] += count[spread] * (x[left] * y[right])
+    return SymTensor(a.dim, p + q, acc / math.comb(p + q, p))
 
 
 def sym_raw(a: SymTensor, b: SymTensor) -> SymTensor:
     """Unnormalized symmetrization of a (x) b over all (p+q)! slot permutations."""
-    product = sym_product(a, b)
-    factor = math.factorial(a.rank + b.rank)
-    return SymTensor(a.dim, a.rank + b.rank, [factor * v for v in product.data])
+    return SymTensor(a.dim, a.rank + b.rank, math.factorial(a.rank + b.rank) * sym_product(a, b).data)
 
 
 def perm_delta(i, j) -> int:

@@ -25,7 +25,7 @@ from hermtensor.mixed6 import (
     to_com_relative,
 )
 from hermtensor.quadrature import ExpansionCoefficients
-from hermtensor.symtensor import SymTensor, identity, max_component_diff, scalar
+from hermtensor.symtensor import SymTensor, canonical_index_tuples, identity, max_component_diff, n_components, scalar, sym_product
 
 MASS_RATIOS = [1.0, 4.0, 16.0, 1836.0]
 
@@ -298,6 +298,49 @@ def test_stack_rank_overflow():
     deep = coefficients([scalar(1.0, 3), SymTensor(3, 1, np.zeros(3)), SymTensor(3, 2, np.zeros(6)), SymTensor(3, 3, np.zeros(10))])
     with pytest.raises(ValueError):
         stack_coefficients(deep, deep)
+
+
+def embed_block(t, offset):
+    """Lift a 3-D tensor into dimension 6 on one block of axes."""
+    if t.rank == 0:
+        return SymTensor(6, 0, [float(t.data[0])])
+    values = np.zeros(n_components(t.rank, 6))
+    source = {idx: v for idx, v in zip(canonical_index_tuples(t.rank, 3), t.data)}
+    for pos, idx in enumerate(canonical_index_tuples(t.rank, 6)):
+        shifted = tuple(i - offset for i in idx)
+        if all(0 <= i <= 2 for i in shifted):
+            values[pos] = source[shifted]
+    return SymTensor(6, t.rank, values)
+
+
+def embedded_stack(coeff_s, coeff_sp):
+    """Reference: symmetrized products of the block-embedded tensors."""
+    stacked = []
+    for N in range(coeff_s.max_rank + coeff_sp.max_rank + 1):
+        total = None
+        for n in range(coeff_s.max_rank + 1):
+            m = N - n
+            if 0 <= m <= coeff_sp.max_rank:
+                piece = sym_product(embed_block(coeff_sp[m], 0), embed_block(coeff_s[n], 3))
+                total = piece if total is None else total + piece
+        stacked.append(total)
+    return stacked
+
+
+def test_stack_coefficients_closed_form_matches_embedding():
+    rng = np.random.default_rng(71)
+    values = np.array([0.0, -0.0, -1.25, 0.5, -3e-5, 2.0, -7.0])
+
+    def random_coefficients(rank):
+        return coefficients([SymTensor(3, n, rng.choice(values, n_components(n, 3))) for n in range(rank + 1)])
+
+    for rank_s in range(3):
+        for rank_sp in range(3):
+            for _ in range(8):
+                coeff_s, coeff_sp = random_coefficients(rank_s), random_coefficients(rank_sp)
+                got = stack_coefficients(coeff_s, coeff_sp)
+                want = embedded_stack(coeff_s, coeff_sp)
+                assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 
 
 def test_rotate_coefficients_involution():

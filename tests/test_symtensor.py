@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermtensor.hermite import PolyScalar
 from hermtensor.symtensor import (
     MultiIndex,
     SymTensor,
@@ -22,6 +23,7 @@ from hermtensor.symtensor import (
     sym_product,
     sym_raw,
 )
+from hermtensor.symtensor import _positions, _split_plan
 
 
 def random_symtensor(rng, dim, rank):
@@ -191,6 +193,88 @@ def test_sym_product_symmetric_argument_is_projection():
     t = random_symtensor(rng, 3, 4)
     s = sym_product(t, scalar(1.0, 3))
     np.testing.assert_allclose(s.data, t.data, rtol=1e-15)
+
+
+def _grouped_split_sums(a: SymTensor, b: SymTensor) -> list:
+    """Per canonical output tuple, sum A[left]*B[right] over position splits.
+
+    Splitting the p+q slots of an output tuple I into p positions for A and
+    q for B depends only on the resulting sub-multisets, so equal splits are
+    grouped and counted instead of enumerated.
+    """
+    p, q, dim = a.rank, b.rank, a.dim
+    pos_a = _positions(p, dim)
+    pos_b = _positions(q, dim)
+    out = []
+    for full in canonical_index_tuples(p + q, dim):
+        groups: dict[tuple, int] = {}
+        for comb in itertools.combinations(range(p + q), p):
+            left = tuple(full[k] for k in comb)
+            it = iter(comb)
+            nxt = next(it, None)
+            right = []
+            for k, label in enumerate(full):
+                if k == nxt:
+                    nxt = next(it, None)
+                else:
+                    right.append(label)
+            key = (left, tuple(right))
+            groups[key] = groups.get(key, 0) + 1
+        acc = 0
+        for (left, right), count in groups.items():
+            term = a.data[pos_a[left]] * b.data[pos_b[right]]
+            acc = acc + count * term
+        out.append(acc)
+    return out
+
+
+def grouped_sym_product(a, b):
+    """Reference: the per-call split enumeration the split plan replaced."""
+    binom = math.comb(a.rank + b.rank, a.rank)
+    return SymTensor(a.dim, a.rank + b.rank, [s / binom for s in _grouped_split_sums(a, b)])
+
+
+def assert_same_bits(got, want):
+    if want.dtype == object:
+        assert list(got) == list(want)
+        return
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+SPLIT_CASES = [(3, p, q) for p in range(5) for q in range(5)] + [(6, p, q) for p in range(7) for q in range(7 - p)]
+
+
+def test_sym_product_matches_grouped_enumeration():
+    rng = np.random.default_rng(29)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e-320])
+
+    def monomials(n, dim):
+        axes, powers, coeffs = rng.integers(0, dim, n), rng.integers(0, 3, n), rng.integers(-3, 4, n)
+        return [PolyScalar(dim, {tuple(k * (a == axis) for a in range(dim)): int(c)}) for axis, k, c in zip(axes, powers, coeffs)]
+
+    for dim, p, q in SPLIT_CASES:
+        na, nb = n_components(p, dim), n_components(q, dim)
+        rings = [
+            (rng.standard_normal(na), rng.standard_normal(nb)),
+            (rng.choice(specials, na), rng.choice(specials, nb)),
+            (rng.standard_normal((na, 4)), rng.standard_normal(nb)),  # batched x scalar
+            (rng.standard_normal(na), rng.standard_normal((nb, 4))),  # scalar x batched, as H_{n-1} x I
+        ]
+        if dim == 3 or p + q <= 4:  # exact products at 6-D ranks 5-6 cost seconds; floats cover those plans
+            rings.append((monomials(na, dim), monomials(nb, dim)))
+        for x, y in rings:
+            a, b = SymTensor(dim, p, x), SymTensor(dim, q, y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_bits(sym_product(a, b).data, grouped_sym_product(a, b).data)
+
+        total = np.zeros(n_components(p + q, dim), dtype=np.intp)
+        for layer in _split_plan(p, q, dim):
+            assert not any(arr.flags.writeable for arr in layer)
+            out, _, _, count = layer
+            total[out] += count
+        assert np.all(total == math.comb(p + q, p))  # Vandermonde: every position split counted once
 
 
 # ---------------------------------------------------------------- perm_delta

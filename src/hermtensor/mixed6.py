@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import BOLTZMANN, ExpansionCoefficients, reconstruct
-from .symtensor import SymTensor, _axis_counts, _count_positions, inner, max_component_diff, n_components
+from .quadrature import BOLTZMANN, ExpansionCoefficients, _series, reconstruct
+from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, max_component_diff, n_components
 
 __all__ = [
     "BOLTZMANN",
@@ -50,9 +51,6 @@ _FRAMES = (SPECIES_FRAME, COM_RELATIVE_FRAME)
 
 # rank cap for the public 6-D operations; C(9, 5) = 126 components at the top
 MAX_MIXED_RANK = 4
-
-# the subscript labels np.einsum accepts
-_EINSUM_LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,9 @@ class BlockRotation:
         mu = pair.reduced_mass
         return cls(math.sqrt(mu / pair.m_s), math.sqrt(mu / pair.m_sp))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        eye = np.eye(3)
-        return np.block([[self.y * eye, self.y_prime * eye], [self.y_prime * eye, -self.y * eye]])
+        return _frozen(np.kron([[self.y, self.y_prime], [self.y_prime, -self.y]], np.eye(3)))
 
     def apply(self, x) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=np.float64)
@@ -141,23 +138,22 @@ class MixedPoint:
         return np.asarray(self.coords[3:])
 
 
-def _require_frame(p: MixedPoint, frame: str):
+def _frame_coords(p: MixedPoint, frame: str) -> tuple[float, ...]:
     if p.frame != frame:
         raise ValueError(f"point is in frame {p.frame!r}, expected {frame!r}")
+    return p.coords
 
 
 def to_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
     """Rotate a stacked species-frame point into (c, g) coordinates."""
-    _require_frame(p, SPECIES_FRAME)
     rot = BlockRotation.from_pair(pair)
-    return MixedPoint(tuple(rot.apply(p.coords)), COM_RELATIVE_FRAME)
+    return MixedPoint(tuple(rot.apply(_frame_coords(p, SPECIES_FRAME))), COM_RELATIVE_FRAME)
 
 
 def from_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
     """Rotate (c, g) back to the stacked species frame; R is its own inverse."""
-    _require_frame(p, COM_RELATIVE_FRAME)
     rot = BlockRotation.from_pair(pair)
-    return MixedPoint(tuple(rot.apply(p.coords)), SPECIES_FRAME)
+    return MixedPoint(tuple(rot.apply(_frame_coords(p, COM_RELATIVE_FRAME))), SPECIES_FRAME)
 
 
 def species_point_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
@@ -184,9 +180,7 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
 
 
 def _coords6(x) -> tuple[float, ...]:
-    if isinstance(x, MixedPoint):
-        return x.coords
-    coords = tuple(float(c) for c in np.asarray(x, dtype=np.float64))
+    coords = x.coords if isinstance(x, MixedPoint) else tuple(float(c) for c in np.asarray(x, dtype=np.float64))
     if len(coords) != 6:
         raise ValueError("need a 6-vector")
     return coords
@@ -209,14 +203,11 @@ def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
         raise ValueError("tensor must have dimension 6")
     if not t.rank <= MAX_MIXED_RANK:
         raise ValueError(f"rank must be within 0..{MAX_MIXED_RANK}")
-    if t.rank == 0:
-        return t
-    matrix = rot.matrix
-    contracted = _EINSUM_LABELS[8 : 8 + t.rank]  # "ijkl..."
-    out = "".join(c for c in _EINSUM_LABELS if c not in contracted)[: t.rank]  # "abcd..."
-    subscripts = ",".join(o + i for o, i in zip(out, contracted)) + "," + contracted + "->" + out
-    dense = np.einsum(subscripts, *([matrix] * t.rank), t.to_dense())
-    return SymTensor.from_dense(dense)
+    dense = t.to_dense()
+    for _ in range(t.rank):
+        # contract the leading slot; the rotated slot goes last, so after rank passes the order is back
+        dense = np.tensordot(dense, rot.matrix, axes=(0, 1))
+    return SymTensor.from_dense(dense) if t.rank else t
 
 
 def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
@@ -269,19 +260,25 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
     return [rotate_rank_n(rot, a) for a in alphas]
 
 
-def mixed_reconstruct(alphas, x, f0: float = 1.0) -> float:
-    """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) for a 6-D point."""
-    coords = _coords6(x)
-    top = len(alphas) - 1
-    basis = mixed_hermite(top, coords)
-    series = sum(inner(alphas[N], basis[N]) for N in range(top + 1))
-    return f0 * math.exp(-sum(c * c for c in coords)) * series
+def mixed_reconstruct(alphas, x, f0: float = 1.0):
+    """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a (K, 6) batch."""
+    if not 0 <= len(alphas) - 1 <= MAX_MIXED_RANK:
+        raise ValueError(f"N must be within 0..{MAX_MIXED_RANK}")
+    return _series(alphas, f0, x.coords if isinstance(x, MixedPoint) else x, 6)
 
 
-def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, p: MixedPoint) -> float:
-    """Pointwise product of the two species distributions, species frame."""
-    _require_frame(p, SPECIES_FRAME)
-    return float(reconstruct(coeff_s, p.lower)) * float(reconstruct(coeff_sp, p.upper))
+def _species_coords(points) -> np.ndarray:
+    """(K, 6) coordinates of species-frame points; bare 6-vectors are taken as species frame."""
+    rows = [_frame_coords(p, SPECIES_FRAME) if isinstance(p, MixedPoint) else p for p in points]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
+
+
+def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, points):
+    """Species distributions multiplied at one species-frame MixedPoint (a float) or a sequence of points (an array)."""
+    single = isinstance(points, MixedPoint)
+    coords = _species_coords([points] if single else points)
+    values = reconstruct(coeff_s, coords[:, 3:]) * reconstruct(coeff_sp, coords[:, :3])
+    return float(values[0]) if single else values
 
 
 def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, pair: SpeciesPair, points) -> float:
@@ -290,17 +287,13 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     The stacked coefficients are rotated into the com-relative frame and
     the reconstruction is evaluated at the rotated points; both routes
     describe the same distribution, so the residual is pure round-off.
+    Points are as for ``product_distribution``; with none the mismatch is 0.0.
     """
     if coeff_s.max_rank > 2 or coeff_sp.max_rank > 2:
         raise ValueError("per-species expansions must have rank <= 2")
+    coords = _species_coords(points)
     rot = BlockRotation.from_pair(pair)
-    alphas = stack_coefficients(coeff_s, coeff_sp)
-    betas = rotate_coefficients(alphas, rot)
-    f0 = coeff_s.f0 * coeff_sp.f0
-    worst = 0.0
-    for point in points:
-        p = point if isinstance(point, MixedPoint) else MixedPoint(tuple(point), SPECIES_FRAME)
-        direct = product_distribution(coeff_s, coeff_sp, p)
-        rotated = mixed_reconstruct(betas, rot.apply(p.coords), f0)
-        worst = max(worst, abs(direct - rotated))
-    return worst
+    betas = rotate_coefficients(stack_coefficients(coeff_s, coeff_sp), rot)
+    direct = product_distribution(coeff_s, coeff_sp, coords)
+    rotated = mixed_reconstruct(betas, coords @ rot.matrix.T, coeff_s.f0 * coeff_sp.f0)
+    return float(np.max(np.abs(direct - rotated), initial=0.0))

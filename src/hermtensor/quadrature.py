@@ -162,7 +162,12 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     """
     points, weights, values, _ = _sample(f, rule, vectorized)
     _require_finite(values, points)
-    return float(np.dot(weights, values))
+    return _grid_sum(weights, values)
+
+
+def _grid_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_k w_k v_k over a grid, pairwise in a fixed order, whatever the BLAS thread count."""
+    return float(np.add.reduce(weights * values))
 
 
 def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points=None, convention=PHYSICIST) -> np.ndarray:
@@ -207,7 +212,7 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
 
 def _admissibility(coarse_sample, fine_sample) -> AdmissibilityResult:
     with np.errstate(over="ignore"):
-        coarse, fine = (float(np.dot(w, g * g)) for _, w, _, g in (coarse_sample, fine_sample))
+        coarse, fine = (_grid_sum(w, g * g) for _, w, _, g in (coarse_sample, fine_sample))
     if not (np.isfinite(coarse) and np.isfinite(fine)):
         return AdmissibilityResult(False, fine)
     scale = max(abs(coarse), abs(fine))
@@ -272,24 +277,27 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample, rows
 
 
-def _partial_sums(coeffs: ExpansionCoefficients, rows):
+def _partial_sums(tensors, rows):
     """sum over n <= N of inner(a_n, H_n) at each point, for N = 0, 1, ...; one array, updated in place."""
     total = np.zeros(rows[0].shape[1])
     for n, row in enumerate(rows):
-        total += (multiplicity_vector(n, 3) * np.atleast_1d(coeffs[n].data)) @ row
+        total += (multiplicity_vector(n, tensors[n].dim) * np.atleast_1d(tensors[n].data)) @ row
         yield total
+
+
+def _series(tensors, f0: float, z, dim: int):
+    """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for dim-D tensors a_0..a_N, at one point (a float) or a (K, dim) batch."""
+    pts = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if pts.shape[1] != dim:
+        raise ValueError(f"points must be {dim}-vectors")
+    *_, series = _partial_sums(tensors, product_rows(len(tensors) - 1, pts, PHYSICIST))
+    out = f0 * np.exp(-np.sum(pts**2, axis=1)) * series
+    return float(out[0]) if np.ndim(z) == 1 else out
 
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
     """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one point or a batch."""
-    pts = np.asarray(z, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
-        raise ValueError("points must be 3-vectors")
-    *_, series = _partial_sums(coeffs, product_rows(coeffs.max_rank, pts, PHYSICIST))
-    out = coeffs.f0 * np.exp(-np.sum(pts**2, axis=1)) * series
-    return float(out[0]) if single else out
+    return _series(coeffs.coeffs, coeffs.f0, z, 3)
 
 
 def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorized: bool = False) -> np.ndarray:
@@ -301,9 +309,9 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     """
     coeffs, (_, weights, _, g), rows = _project(f, max_rank, rule, f0, vectorized)
     errors = np.empty(max_rank + 1)
-    for top, partial in enumerate(_partial_sums(coeffs, rows)):
+    for top, partial in enumerate(_partial_sums(coeffs.coeffs, rows)):
         residual = g - f0 * partial
-        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(np.dot(weights, residual * residual))))
+        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * _grid_sum(weights, residual * residual)))
     return errors
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _gram, grid_points, grid_weights
+from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, grid_points, grid_weights
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -116,11 +116,11 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     """Order-doubling classification of Integral exp(|z'|^2 - 2 |z|^2) d^3z.
 
     The integrand is exp((alpha**2 - 2) |z - c|^2 + ...), convergent exactly
-    when alpha**2 < 2.  The quadrature value is compared at the rule's order
-    and at double the order: growth beyond 10x (or a non-finite sum) is
-    classified divergent, anything else finite, with agreement within 5
-    percent as the confirmed-stable regime.  Near the alpha**2 = 2 boundary
-    a two-point probe is indecisive by construction.  Needs rule order <= 32.
+    when alpha**2 < 2.  The quadrature value is taken at the rule's order
+    and at double the order: a non-finite value, or a doubled-order value
+    above 10 times the coarse one, is classified divergent, anything else
+    finite; both values are returned.  Near the alpha**2 = 2 boundary a
+    two-point probe is indecisive by construction.  Needs rule order <= 32.
     """
     fine_rule = _doubled_rule(rule)
 
@@ -129,7 +129,7 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
         scaled = smap.apply(points)
         with np.errstate(over="ignore"):
             g = np.exp(np.sum(scaled**2, axis=1) - np.sum(points**2, axis=1))
-            return float(np.dot(grid_weights(r), g))
+            return _grid_sum(grid_weights(r), g)
 
     coarse = value(rule)
     fine = value(fine_rule)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,46 @@ def test_run_wrapper_raises_system_exit(monkeypatch, capsys):
         run()
     assert err.value.code == 0
     assert '"message": "(1000, 2000)"' in capsys.readouterr().out
+
+
+# --- BLAS thread count ----------------------------------------------------
+
+# the four verify defaults, then one hash over expand, truncation_error,
+# l2_admissible and reconstruct on 21 drifting Maxwellians
+THREAD_PROBE = """
+import hashlib, math, warnings
+import numpy as np
+from hermtensor.cli import main
+from hermtensor.quadrature import expand, gauss_hermite_rule, l2_admissible, reconstruct, truncation_error
+
+for suite in ("ortho", "translate", "scale", "rotate"):
+    main(["verify", suite])
+rule = gauss_hermite_rule(16)
+rng = np.random.default_rng(3)
+points = rng.uniform(-2.0, 2.0, (64, 3))
+digest = hashlib.sha256()
+for i in range(21):
+    shift, T = rng.uniform(-1.0, 1.0, 3), 0.5 + 0.125 * i
+    f = lambda z: T**-1.5 * np.exp(-np.sum((z - shift) ** 2, axis=1) / T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coeffs = expand(f, 4, rule, math.pi**-1.5, vectorized=True)
+        errors = truncation_error(f, 4, rule, math.pi**-1.5, vectorized=True)
+    check = l2_admissible(f, rule, vectorized=True)
+    for t in coeffs.coeffs:
+        digest.update(t.data.tobytes())
+    digest.update(errors.tobytes() + reconstruct(coeffs, points).tobytes())
+    digest.update(f"{check.admissible} {check.value.hex()}".encode())
+print(digest.hexdigest())
+"""
+
+
+def test_output_independent_of_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0].count(b'"command": "verify"') == 4
+    assert outputs[0] == outputs[1]

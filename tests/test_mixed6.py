@@ -84,6 +84,13 @@ def test_rotation_matrix_blocks():
     assert np.allclose(R[3:, 3:], -0.6 * np.eye(3))
 
 
+def test_rotation_matrix_cached_read_only():
+    rot = BlockRotation.from_pair(pair_with_ratio(16.0))
+    assert rot.matrix is rot.matrix
+    with pytest.raises(ValueError, match="read-only"):
+        rot.matrix[0, 0] = 1.0
+
+
 def test_block_rotation_rejects_off_circle():
     with pytest.raises(ValueError):
         BlockRotation(0.5, 0.5)
@@ -232,18 +239,22 @@ def test_rotate_identity_is_fixed():
     assert max_component_diff(rotate_rank_n(rot, identity(6)), identity(6)) < 1e-14
 
 
-def test_rotate_rank_n_einsum_subscripts(monkeypatch):
-    rot = BlockRotation.from_pair(pair_with_ratio(4.0))
-    einsum, seen = np.einsum, []
+def einsum_rotation(matrix, dense):
+    """Reference: every slot rotated in one einsum, "ai,bj,...,ij...->ab..."."""
+    out, contracted = "abcd"[: dense.ndim], "ijkl"[: dense.ndim]
+    subscripts = ",".join([o + i for o, i in zip(out, contracted)] + [contracted]) + "->" + out
+    return np.einsum(subscripts, *([matrix] * dense.ndim), dense)
 
-    def recording(subscripts, *operands):
-        seen.append(subscripts)
-        return einsum(subscripts, *operands)
 
-    monkeypatch.setattr(np, "einsum", recording)
-    for rank in range(1, 5):
-        rotate_rank_n(rot, SymTensor(6, rank, np.ones(math.comb(rank + 5, 5))))
-    assert seen == ["ai,i->a", "ai,bj,ij->ab", "ai,bj,ck,ijk->abc", "ai,bj,ck,dl,ijkl->abcd"]
+def test_rotate_rank_n_matches_einsum():
+    rng = np.random.default_rng(83)
+    for ratio in MASS_RATIOS:
+        rot = BlockRotation.from_pair(pair_with_ratio(ratio))
+        for rank in range(5):
+            t = SymTensor(6, rank, rng.uniform(-2.0, 2.0, n_components(rank, 6)))
+            want = einsum_rotation(rot.matrix, t.to_dense())
+            got = rotate_rank_n(rot, t).to_dense()
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want)))), (ratio, rank)
 
 
 def test_rotate_rank_n_validation():
@@ -292,6 +303,37 @@ def test_stacked_series_equals_product():
         product = product_distribution(coeff_s, coeff_sp, p)
         stacked = mixed_reconstruct(alphas, p, coeff_s.f0 * coeff_sp.f0)
         assert stacked == pytest.approx(product, rel=1e-12, abs=1e-15)
+
+
+def test_batched_frames_match_pointwise():
+    coeff_s, coeff_sp = drifted_pair_coefficients()
+    alphas = stack_coefficients(coeff_s, coeff_sp)
+    f0 = coeff_s.f0 * coeff_sp.f0
+    coords = np.random.default_rng(73).uniform(-2.0, 2.0, (12, 6))
+    points = [MixedPoint(tuple(c), SPECIES_FRAME) for c in coords]
+    products = [product_distribution(coeff_s, coeff_sp, p) for p in points]
+    stacked = [mixed_reconstruct(alphas, p, f0) for p in points]
+    assert all(type(v) is float for v in products + stacked)
+    # the batch sums its contractions in another order, so allow a few ulps
+    np.testing.assert_allclose(product_distribution(coeff_s, coeff_sp, coords), products, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(product_distribution(coeff_s, coeff_sp, points), products, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(mixed_reconstruct(alphas, coords, f0), stacked, rtol=1e-15, atol=0.0)
+    assert [mixed_reconstruct(alphas, c, f0) for c in coords] == stacked
+
+
+def test_batched_frames_refuse_bad_input():
+    coeff_s, coeff_sp = drifted_pair_coefficients()
+    com = MixedPoint((0.1,) * 6, COM_RELATIVE_FRAME)
+    with pytest.raises(ValueError):
+        product_distribution(coeff_s, coeff_sp, com)
+    with pytest.raises(ValueError):
+        product_distribution(coeff_s, coeff_sp, [(0.0,) * 6, com])
+    with pytest.raises(ValueError):
+        mixed_reconstruct([SymTensor(6, n, np.zeros(n_components(n, 6))) for n in range(6)], (0.0,) * 6)
+    with pytest.raises(ValueError):
+        mixed_reconstruct([], (0.0,) * 6)
+    with pytest.raises(ValueError):
+        mixed_reconstruct([scalar(1.0, 6)], (0.0,) * 5)
 
 
 def test_stack_rank_overflow():
@@ -380,3 +422,16 @@ def test_invariance_rejects_rank_three():
     deep = coefficients([scalar(1.0, 3), SymTensor(3, 1, np.zeros(3)), SymTensor(3, 2, np.zeros(6)), SymTensor(3, 3, np.zeros(10))])
     with pytest.raises(ValueError):
         distribution_invariance(deep, MAXWELLIAN, pair, [(0.0,) * 6])
+
+
+def test_invariance_point_forms():
+    pair = pair_with_ratio(4.0)
+    coeff_s, coeff_sp = drifted_pair_coefficients()
+    assert distribution_invariance(coeff_s, coeff_sp, pair, []) == 0.0
+    coords = np.random.default_rng(79).uniform(-2.0, 2.0, (20, 6))
+    tagged = [MixedPoint(tuple(c), SPECIES_FRAME) for c in coords]
+    bare = [tuple(float(x) for x in c) for c in coords]
+    residual = distribution_invariance(coeff_s, coeff_sp, pair, tagged)
+    assert distribution_invariance(coeff_s, coeff_sp, pair, bare) == residual < 1e-12
+    with pytest.raises(ValueError):
+        distribution_invariance(coeff_s, coeff_sp, pair, tagged[:2] + [to_com_relative(tagged[2], pair)])

@@ -5,160 +5,13 @@ physicist and probabilist conventions, Gauss-Hermite projection of
 velocity distributions, scaling and translation of the basis, and the
 two-species center-of-mass / relative rotation machinery.
 """
-from .symtensor import (
-    MultiIndex,
-    SymTensor,
-    canonical_index_tuples,
-    canonicalize,
-    identity,
-    inner,
-    max_component_diff,
-    multiplicity,
-    multiplicity_vector,
-    n_components,
-    outer_power,
-    perm_delta,
-    scalar,
-    sym_product,
-    sym_raw,
-)
-from .hermite import (
-    PHYSICIST,
-    PROBABILIST,
-    BasisEvaluation,
-    HermiteConvention,
-    PolyScalar,
-    convert,
-    evaluate_basis,
-    grad_check,
-    hermite_1d,
-    hermite_phys,
-    hermite_prob,
-    hermite_symbolic,
-    product_oracle,
-    product_rows,
-)
-from .quadrature import (
-    AdmissibilityResult,
-    ExpansionCoefficients,
-    NonFiniteIntegrandError,
-    QuadratureRule,
-    WeightSpec,
-    expand,
-    gauss_hermite_rule,
-    grid_points,
-    grid_weights,
-    integrate3,
-    l2_admissible,
-    ortho_matrix,
-    reconstruct,
-    truncation_error,
-)
-from .transforms import (
-    ProbeResult,
-    ScalingMap,
-    TranslationMap,
-    TranslationTerm,
-    alpha_from_temperatures,
-    assemble_translation,
-    convergence_probe,
-    orthogonality_after_translation,
-    scaling_admissible,
-    temperature_window,
-    translate_basis,
-    translated_hermite,
-    translation_roundtrip,
-)
-from .mixed6 import (
-    BlockRotation,
-    MixedPoint,
-    SpeciesPair,
-    com_relative_from_velocities,
-    distribution_invariance,
-    equivariance_residual,
-    from_com_relative,
-    mixed_hermite,
-    mixed_reconstruct,
-    product_distribution,
-    rotate_coefficients,
-    rotate_rank_n,
-    species_point_from_velocities,
-    stack_coefficients,
-    to_com_relative,
-)
+from . import hermite, mixed6, quadrature, symtensor, transforms
+from .hermite import *
+from .mixed6 import *
+from .quadrature import *
+from .symtensor import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityResult",
-    "BasisEvaluation",
-    "BlockRotation",
-    "ExpansionCoefficients",
-    "HermiteConvention",
-    "MixedPoint",
-    "MultiIndex",
-    "NonFiniteIntegrandError",
-    "PHYSICIST",
-    "PROBABILIST",
-    "PolyScalar",
-    "ProbeResult",
-    "QuadratureRule",
-    "ScalingMap",
-    "SpeciesPair",
-    "SymTensor",
-    "TranslationMap",
-    "TranslationTerm",
-    "WeightSpec",
-    "alpha_from_temperatures",
-    "assemble_translation",
-    "canonical_index_tuples",
-    "canonicalize",
-    "com_relative_from_velocities",
-    "convergence_probe",
-    "convert",
-    "distribution_invariance",
-    "equivariance_residual",
-    "evaluate_basis",
-    "expand",
-    "from_com_relative",
-    "gauss_hermite_rule",
-    "grad_check",
-    "grid_points",
-    "grid_weights",
-    "hermite_1d",
-    "hermite_phys",
-    "hermite_prob",
-    "hermite_symbolic",
-    "identity",
-    "inner",
-    "integrate3",
-    "l2_admissible",
-    "max_component_diff",
-    "mixed_hermite",
-    "mixed_reconstruct",
-    "multiplicity",
-    "multiplicity_vector",
-    "n_components",
-    "ortho_matrix",
-    "orthogonality_after_translation",
-    "outer_power",
-    "perm_delta",
-    "product_distribution",
-    "product_oracle",
-    "product_rows",
-    "reconstruct",
-    "rotate_coefficients",
-    "rotate_rank_n",
-    "scalar",
-    "scaling_admissible",
-    "species_point_from_velocities",
-    "stack_coefficients",
-    "sym_product",
-    "sym_raw",
-    "temperature_window",
-    "to_com_relative",
-    "translate_basis",
-    "translated_hermite",
-    "translation_roundtrip",
-    "truncation_error",
-]
+__all__ = symtensor.__all__ + hermite.__all__ + quadrature.__all__ + transforms.__all__ + mixed6.__all__

@@ -30,12 +30,14 @@ from .quadrature import (
     NonFiniteIntegrandError,
     WeightSpec,
     _require_order,
+    _require_rank,
     expand,
     gauss_hermite_rule,
     ortho_matrix,
 )
 from .symtensor import SymTensor, canonical_index_tuples, perm_delta, scalar
 from .transforms import (
+    DIVERGENCE_RATIO,
     TO_CENTERED,
     ScalingMap,
     TranslationMap,
@@ -146,8 +148,7 @@ def cmd_basis(args) -> tuple[dict, int]:
     if args.symbolic:
         if args.point is not None:
             raise ValueError("--symbolic and --point are mutually exclusive")
-        if not 0 <= args.rank <= 4:
-            raise ValueError("symbolic mode supports ranks 0..4")
+        _require_rank("basis_symbolic", args.rank)
         tensor = hermite_symbolic(args.rank, dim=3, convention=convention)[args.rank]
         components = []
         for idx in canonical_index_tuples(args.rank, 3):
@@ -158,8 +159,7 @@ def cmd_basis(args) -> tuple[dict, int]:
             ]
             components.append({"index": list(idx), "terms": terms})
     else:
-        if not 0 <= args.rank <= 6:
-            raise ValueError("numeric mode supports ranks 0..6")
+        _require_rank("basis", args.rank)
         point = _parse_vector(args.point) if args.point is not None else (0.0, 0.0, 0.0)
         config["point"] = list(point)
         tensor = evaluate_basis(args.rank, point, dim=3, convention=convention)[args.rank]
@@ -186,8 +186,7 @@ def cmd_window(args) -> tuple[dict, int]:
 
 
 def cmd_expand(args) -> tuple[dict, int]:
-    if not 0 <= args.max_rank <= 4:
-        raise ValueError("max rank must be within 0..4")
+    _require_rank("expand", args.max_rank)
     drift = _parse_vector(args.drift)
     spec = WeightSpec(args.density, args.mass * ATOMIC_MASS, args.temperature, drift)
     rule = gauss_hermite_rule(args.quad_order)
@@ -235,8 +234,7 @@ def _expected_gram(m_rank: int, n_rank: int, convention) -> np.ndarray:
 
 
 def _suite_ortho(args) -> tuple[dict, list[dict]]:
-    if not 0 <= args.max_rank <= 4:
-        raise ValueError("max rank must be within 0..4")
+    _require_rank("ortho_matrix", args.max_rank)
     rule = gauss_hermite_rule(args.quad_order)
     _require_order(rule, args.max_rank)
     rows = []
@@ -252,8 +250,7 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
 
 
 def _suite_translate(args) -> tuple[dict, list[dict]]:
-    if not 1 <= args.max_rank <= 5:
-        raise ValueError("max rank must be within 1..5")
+    _require_rank("translation_roundtrip", args.max_rank, low=1)
     rng = np.random.default_rng(args.seed)
     identity_worst = 0.0
     roundtrip_worst = 0.0
@@ -296,7 +293,7 @@ def _suite_scale(args) -> tuple[dict, list[dict]]:
             ratio = result.fine / result.coarse
         else:
             ratio = math.inf
-        row = _check(f"probe-alpha-{alpha:g}", ratio, 10.0, mode="max" if expected_finite else "min")
+        row = _check(f"probe-alpha-{alpha:g}", ratio, DIVERGENCE_RATIO, mode="max" if expected_finite else "min")
         row["classification"] = result.classification
         row["pass"] = (result.classification == "finite") == expected_finite
         rows.append(row)
@@ -305,8 +302,7 @@ def _suite_scale(args) -> tuple[dict, list[dict]]:
 
 
 def _suite_rotate(args) -> tuple[dict, list[dict]]:
-    if not 0 <= args.max_rank <= 3:
-        raise ValueError("max rank must be within 0..3")
+    _require_rank("verify_rotate", args.max_rank)
     pair = SpeciesPair(args.ms * ATOMIC_MASS, args.msp * ATOMIC_MASS, args.temperature)
     rot = BlockRotation.from_pair(pair)
     rng = np.random.default_rng(args.seed)

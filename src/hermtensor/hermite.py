@@ -28,6 +28,8 @@ from .symtensor import SUPPORTED_DIMS, SymTensor, _axis_counts, identity, max_co
 __all__ = [
     "BasisEvaluation",
     "HermiteConvention",
+    "PHYSICIST",
+    "PROBABILIST",
     "PolyScalar",
     "convert",
     "evaluate_basis",

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import BOLTZMANN, ExpansionCoefficients, _series, reconstruct
+from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series, reconstruct
 from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, max_component_diff, n_components
 
 __all__ = [
@@ -49,8 +49,7 @@ SPECIES_FRAME = "species"
 COM_RELATIVE_FRAME = "com-relative"
 _FRAMES = (SPECIES_FRAME, COM_RELATIVE_FRAME)
 
-# rank cap for the public 6-D operations; C(9, 5) = 126 components at the top
-MAX_MIXED_RANK = 4
+MAX_MIXED_RANK = _RANK_CAPS["mixed"]
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,7 @@ def mixed_hermite(N: int, x) -> list[SymTensor]:
     The recursion is the 3-D one run in dimension 6, which makes each
     component factor into a product of two 3-D polynomials, one per block.
     """
-    if not 0 <= N <= MAX_MIXED_RANK:
-        raise ValueError(f"N must be within 0..{MAX_MIXED_RANK}")
+    _require_rank("mixed", N)
     return evaluate_basis(N, _coords6(x), dim=6, convention=PHYSICIST)
 
 
@@ -201,8 +199,7 @@ def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
     """Apply the block rotation to every slot of a symmetric 6-D tensor."""
     if t.dim != 6:
         raise ValueError("tensor must have dimension 6")
-    if not t.rank <= MAX_MIXED_RANK:
-        raise ValueError(f"rank must be within 0..{MAX_MIXED_RANK}")
+    _require_rank("mixed", t.rank)
     dense = t.to_dense()
     for _ in range(t.rank):
         # contract the leading slot; the rotated slot goes last, so after rank passes the order is back
@@ -244,9 +241,8 @@ def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoeffi
     tensor on the lower block.  Contracting the result against the mixed
     basis reproduces the product of the two series.
     """
-    if coeff_s.max_rank + coeff_sp.max_rank > MAX_MIXED_RANK:
-        raise ValueError(f"combined rank exceeds {MAX_MIXED_RANK}")
     top = coeff_s.max_rank + coeff_sp.max_rank
+    _require_rank("mixed", top)
     stacked = []
     for N in range(top + 1):
         lowest = max(0, N - coeff_sp.max_rank)
@@ -262,8 +258,7 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
 
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
     """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a (K, 6) batch."""
-    if not 0 <= len(alphas) - 1 <= MAX_MIXED_RANK:
-        raise ValueError(f"N must be within 0..{MAX_MIXED_RANK}")
+    _require_rank("mixed", len(alphas) - 1)
     return _series(alphas, f0, x.coords if isinstance(x, MixedPoint) else x, 6)
 
 
@@ -289,8 +284,7 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     describe the same distribution, so the residual is pure round-off.
     Points are as for ``product_distribution``; with none the mismatch is 0.0.
     """
-    if coeff_s.max_rank > 2 or coeff_sp.max_rank > 2:
-        raise ValueError("per-species expansions must have rank <= 2")
+    _require_rank("invariance_per_species", max(coeff_s.max_rank, coeff_sp.max_rank))
     coords = _species_coords(points)
     rot = BlockRotation.from_pair(pair)
     betas = rotate_coefficients(stack_coefficients(coeff_s, coeff_sp), rot)

@@ -31,6 +31,8 @@ __all__ = [
     "WeightSpec",
     "expand",
     "gauss_hermite_rule",
+    "grid_points",
+    "grid_weights",
     "integrate3",
     "l2_admissible",
     "ortho_matrix",
@@ -86,8 +88,24 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights)
 
 
+# top rank of every rank-capped operation, each checked only through _require_rank; "mixed" caps the public 6-D ones
+_RANK_CAPS = {
+    "ortho_matrix": 4, "mixed": 4, "invariance_per_species": 2, "translate_basis": 6, "translation_roundtrip": 5,
+    # CLI commands and verify suites
+    "basis": 6, "basis_symbolic": 4, "expand": 4, "verify_rotate": 3,
+}
+
+
+def _require_rank(name: str, rank: int, low: int = 0) -> None:
+    top = _RANK_CAPS[name]
+    if not low <= rank <= top:
+        raise ValueError(f"{name} supports ranks {low}..{top}, got {rank}")
+
+
 def _require_order(rule: QuadratureRule, rank: int) -> None:
-    """Rank-``rank`` products need order >= 2 rank + 2 to integrate without aliasing."""
+    """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
+    if rank < 0:
+        raise ValueError(f"rank must be >= 0, got {rank}")
     if rule.order < 2 * rank + 2:
         raise ValueError(f"rule order {rule.order} insufficient for rank {rank}; need >= {2 * rank + 2}")
 
@@ -173,7 +191,8 @@ def _grid_sum(weights: np.ndarray, values: np.ndarray) -> float:
 def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points=None, convention=PHYSICIST) -> np.ndarray:
     """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights, at the given points or its nodes."""
     top = max(m_rank, n_rank)
-    _require_order(rule, top)
+    _require_order(rule, m_rank)
+    _require_order(rule, n_rank)
     rows = _grid_rows(rule, top) if points is None else product_rows(top, points, convention)
     return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m_rank], rows[n_rank])
 
@@ -186,8 +205,7 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
     same nodes by the substitution z = sqrt(2) x.  Shape is (#components(m),
     #components(n)).
     """
-    if max(m_rank, n_rank) > 4:
-        raise ValueError("orthogonality tables are supported for ranks <= 4")
+    _require_rank("ortho_matrix", max(m_rank, n_rank))
     if convention is PROBABILIST:
         return _gram(m_rank, n_rank, rule, math.sqrt(2.0) * grid_points(rule), PROBABILIST)
     return _gram(m_rank, n_rank, rule)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, grid_points, grid_weights
+from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, _require_rank, grid_points, grid_weights
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -38,7 +38,8 @@ TO_CENTERED = "r->0"
 TO_AVERAGE = "0->r"
 _DIRECTIONS = (TO_CENTERED, TO_AVERAGE)
 
-MAX_TRANSLATE_RANK = 6
+# convergence_probe calls a doubled-order value above this multiple of the coarse one divergent
+DIVERGENCE_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,10 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     The integrand is exp((alpha**2 - 2) |z - c|^2 + ...), convergent exactly
     when alpha**2 < 2.  The quadrature value is taken at the rule's order
     and at double the order: a non-finite value, or a doubled-order value
-    above 10 times the coarse one, is classified divergent, anything else
-    finite; both values are returned.  Near the alpha**2 = 2 boundary a
-    two-point probe is indecisive by construction.  Needs rule order <= 32.
+    above DIVERGENCE_RATIO times the coarse one, is classified divergent,
+    anything else finite; both values are returned.  Near the alpha**2 = 2
+    boundary a two-point probe is indecisive by construction.  Needs rule
+    order <= 32.
     """
     fine_rule = _doubled_rule(rule)
 
@@ -133,7 +135,7 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
 
     coarse = value(rule)
     fine = value(fine_rule)
-    divergent = not (math.isfinite(coarse) and math.isfinite(fine)) or fine > 10.0 * coarse
+    divergent = not (math.isfinite(coarse) and math.isfinite(fine)) or fine > DIVERGENCE_RATIO * coarse
     return ProbeResult("divergent" if divergent else "finite", coarse, fine)
 
 
@@ -151,8 +153,7 @@ def translate_basis(rank: int, tmap: TranslationMap, direction: str) -> list[Tra
     negating the shift.  The terms alone are returned; combine them with
     ``assemble_translation`` against evaluated partner tensors.
     """
-    if not 0 <= rank <= MAX_TRANSLATE_RANK:
-        raise ValueError(f"rank must be within 0..{MAX_TRANSLATE_RANK}")
+    _require_rank("translate_basis", rank)
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
     delta = tmap.shift if direction == TO_CENTERED else -tmap.shift
@@ -181,8 +182,7 @@ def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> Sy
 
 def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
     """Residual of translating rank 0..rank forward and back at one point."""
-    if not 0 <= rank <= 5:
-        raise ValueError("roundtrip supports ranks 0..5")
+    _require_rank("translation_roundtrip", rank)
     point = np.asarray(z, dtype=np.float64)
     original = hermite_phys(rank, point - np.asarray(tmap.za)).values
     forward = [

@@ -1,0 +1,133 @@
+"""Every rank cap in one table: each accepts its top rank and refuses the next one the same way."""
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hermtensor.cli import main
+from hermtensor.mixed6 import (
+    MAX_MIXED_RANK,
+    BlockRotation,
+    SpeciesPair,
+    distribution_invariance,
+    mixed_hermite,
+    mixed_reconstruct,
+    rotate_rank_n,
+    stack_coefficients,
+)
+from hermtensor.quadrature import (
+    _RANK_CAPS,
+    ExpansionCoefficients,
+    expand,
+    gauss_hermite_rule,
+    ortho_matrix,
+    truncation_error,
+)
+from hermtensor.symtensor import SymTensor, n_components
+from hermtensor.transforms import (
+    TO_CENTERED,
+    TranslationMap,
+    orthogonality_after_translation,
+    translate_basis,
+    translation_roundtrip,
+)
+
+PAIR = SpeciesPair(1.0, 4.0, 300.0)
+TMAP = TranslationMap((0.1, -0.2, 0.3), (0.5, 0.0, -0.4))
+
+
+def zeros(dim, rank):
+    return SymTensor(dim, rank, np.zeros(n_components(rank, dim)))
+
+
+def expansion(top):
+    return ExpansionCoefficients(top, tuple(zeros(3, n) for n in range(top + 1)))
+
+
+# (entry, reader) -> a call of the reader at the given rank
+LIBRARY = {
+    ("ortho_matrix", "ortho_matrix"): lambda r: ortho_matrix(r, r, gauss_hermite_rule(2 * r + 2)),
+    ("mixed", "mixed_hermite"): lambda r: mixed_hermite(r, np.zeros(6)),
+    ("mixed", "rotate_rank_n"): lambda r: rotate_rank_n(BlockRotation.from_pair(PAIR), zeros(6, r)),
+    ("mixed", "stack_coefficients"): lambda r: stack_coefficients(expansion(r // 2), expansion(r - r // 2)),
+    ("mixed", "mixed_reconstruct"): lambda r: mixed_reconstruct([zeros(6, n) for n in range(r + 1)], np.zeros(6)),
+    ("invariance_per_species", "distribution_invariance"): (
+        lambda r: distribution_invariance(expansion(0), expansion(r), PAIR, np.zeros((3, 6)))
+    ),
+    ("translate_basis", "translate_basis"): lambda r: translate_basis(r, TMAP, TO_CENTERED),
+    ("translation_roundtrip", "translation_roundtrip"): lambda r: translation_roundtrip(r, TMAP, np.array([0.3, -1.2, 0.8])),
+}
+
+# entry -> argv with the rank left as "{}"
+CLI = {
+    "ortho_matrix": ["verify", "ortho", "--max-rank", "{}"],
+    "translation_roundtrip": ["verify", "translate", "--max-rank", "{}"],
+    "basis": ["basis", "--rank", "{}", "--point", "0.3,1,2"],
+    "basis_symbolic": ["basis", "--rank", "{}", "--symbolic"],
+    "expand": ["expand", "--mass", "28", "--temperature", "300", "--max-rank", "{}"],
+    "verify_rotate": ["verify", "rotate", "--max-rank", "{}"],
+}
+
+# library entries reached through the CLI: the lowest rank their command accepts
+CLI_LOW = {"translation_roundtrip": 1}
+
+
+def test_every_cap_is_exercised():
+    assert {entry for entry, _ in LIBRARY} | set(CLI) == set(_RANK_CAPS)
+    assert MAX_MIXED_RANK == _RANK_CAPS["mixed"]
+
+
+@pytest.mark.parametrize("entry,reader", sorted(LIBRARY))
+def test_library_cap_accepts_top_and_refuses_next(entry, reader):
+    call, top = LIBRARY[entry, reader], _RANK_CAPS[entry]
+    call(top)
+    with pytest.raises(ValueError, match=re.escape(f"{entry} supports ranks 0..{top}, got {top + 1}")):
+        call(top + 1)
+
+
+def invoke(entry, rank):
+    buf = io.StringIO()
+    code = main([arg.format(rank) for arg in CLI[entry]], buf)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("entry", sorted(CLI))
+def test_cli_cap_accepts_top_and_refuses_next(entry, capsys):
+    top, low = _RANK_CAPS[entry], CLI_LOW.get(entry, 0)
+    code, out = invoke(entry, top)
+    assert code == 0 and out
+    capsys.readouterr()
+    for rank in (low - 1, top + 1):
+        assert invoke(entry, rank) == (2, "")
+        assert capsys.readouterr().err == f"error: {entry} supports ranks {low}..{top}, got {rank}\n"
+
+
+def maxwellian(points):
+    return np.exp(-np.sum(points**2, axis=1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rule: ortho_matrix(-1, 0, rule),
+        lambda rule: ortho_matrix(0, -1, rule),
+        lambda rule: ortho_matrix(-1, -1, rule),
+        lambda rule: orthogonality_after_translation(-1, 1, TMAP, rule),
+        lambda rule: expand(maxwellian, -1, rule, vectorized=True),
+        lambda rule: truncation_error(maxwellian, -1, rule, vectorized=True),
+    ],
+    ids=["ortho-m", "ortho-n", "ortho-both", "translated-gram", "expand", "truncation-error"],
+)
+def test_negative_ranks_are_refused(call):
+    with pytest.raises(ValueError, match="got -1"):
+        call(gauss_hermite_rule(8))
+
+
+def test_readme_limits_table_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, re.M)
+    assert len(rows) == len(_RANK_CAPS)
+    assert {name: int(top) for name, top in rows} == _RANK_CAPS

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import atomic_mass
 
 from hermtensor.hermite import hermite_phys, product_oracle
@@ -415,6 +417,31 @@ def test_invariance_rank_two_both_species():
     rng = np.random.default_rng(67)
     points = [rng.uniform(-2, 2, 6) for _ in range(50)]
     assert distribution_invariance(coeff_s, coeff_sp, pair, points) < 1e-12
+
+
+@st.composite
+def species_expansion(draw):
+    """A rank 0..2 species expansion: a_0 in [0.5, 2], higher components in [-1, 1]."""
+    top = draw(st.integers(0, 2))
+    tensors = [scalar(draw(st.floats(0.5, 2.0)), 3)]
+    for n in range(1, top + 1):
+        size = n_components(n, 3)
+        tensors.append(SymTensor(3, n, draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))))
+    return coefficients(tensors)
+
+
+@given(
+    coeff_s=species_expansion(),
+    coeff_sp=species_expansion(),
+    log_ratio=st.floats(-3.0, math.log10(2e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_invariance_at_random_mass_ratios(coeff_s, coeff_sp, log_ratio, seed):
+    pair = pair_with_ratio(10.0**log_ratio)
+    points = np.random.default_rng(seed).uniform(-2.0, 2.0, (50, 6))
+    peak = float(np.max(np.abs(product_distribution(coeff_s, coeff_sp, points))))
+    assert distribution_invariance(coeff_s, coeff_sp, pair, points) <= 1e-10 * peak
 
 
 def test_invariance_rejects_rank_three():

@@ -1,0 +1,46 @@
+import hermtensor
+from hermtensor import hermite, mixed6, quadrature, symtensor, transforms
+
+MODULES = (symtensor, hermite, quadrature, transforms, mixed6)
+
+# the 71 names the root exported while its list was written out by hand; none may go
+EARLIER_EXPORTS = [
+    "AdmissibilityResult", "BasisEvaluation", "BlockRotation", "ExpansionCoefficients",
+    "HermiteConvention", "MixedPoint", "MultiIndex", "NonFiniteIntegrandError",
+    "PHYSICIST", "PROBABILIST", "PolyScalar", "ProbeResult",
+    "QuadratureRule", "ScalingMap", "SpeciesPair", "SymTensor",
+    "TranslationMap", "TranslationTerm", "WeightSpec", "alpha_from_temperatures",
+    "assemble_translation", "canonical_index_tuples", "canonicalize", "com_relative_from_velocities",
+    "convergence_probe", "convert", "distribution_invariance", "equivariance_residual",
+    "evaluate_basis", "expand", "from_com_relative", "gauss_hermite_rule",
+    "grad_check", "grid_points", "grid_weights", "hermite_1d",
+    "hermite_phys", "hermite_prob", "hermite_symbolic", "identity",
+    "inner", "integrate3", "l2_admissible", "max_component_diff",
+    "mixed_hermite", "mixed_reconstruct", "multiplicity", "multiplicity_vector",
+    "n_components", "ortho_matrix", "orthogonality_after_translation", "outer_power",
+    "perm_delta", "product_distribution", "product_oracle", "product_rows",
+    "reconstruct", "rotate_coefficients", "rotate_rank_n", "scalar",
+    "scaling_admissible", "species_point_from_velocities", "stack_coefficients", "sym_product",
+    "sym_raw", "temperature_window", "to_com_relative", "translate_basis",
+    "translated_hermite", "translation_roundtrip", "truncation_error",
+]
+
+
+def test_root_exports_each_module_name_once():
+    names = hermtensor.__all__
+    assert len(names) == len(set(names))
+    assert names == [name for module in MODULES for name in module.__all__]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(hermtensor, name) is getattr(module, name), name
+
+
+def test_root_keeps_every_earlier_export():
+    assert len(set(EARLIER_EXPORTS)) == 71
+    assert set(EARLIER_EXPORTS) <= set(hermtensor.__all__)
+
+
+def test_star_import_matches_all():
+    namespace = {}
+    exec("from hermtensor import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hermtensor.__all__)

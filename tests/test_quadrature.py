@@ -262,6 +262,30 @@ def test_expand_reconstruct_roundtrip():
     assert np.max(np.abs(coeffs_out[3].data)) < 1e-11
 
 
+@st.composite
+def truncated_series(draw):
+    """A rank 0..4 series with components in [-2, 2], and a rule order from 2N + 2 to 16."""
+    top = draw(st.integers(0, 4))
+    components = st.floats(-2.0, 2.0)
+    tensors = tuple(
+        SymTensor(3, n, draw(st.lists(components, min_size=n_components(n, 3), max_size=n_components(n, 3))))
+        for n in range(top + 1)
+    )
+    return ExpansionCoefficients(top, tensors, draw(st.floats(0.1, 10.0))), draw(st.integers(2 * top + 2, 16))
+
+
+@given(truncated_series())
+@settings(max_examples=30, deadline=None)
+def test_expand_of_reconstruct_is_idempotent(case):
+    coeffs, order = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a truncated series must pass the stability probe
+        again = expand(lambda p: reconstruct(coeffs, p), coeffs.max_rank, gauss_hermite_rule(order), coeffs.f0, vectorized=True)
+    scale = max(1.0, max(float(np.max(np.abs(c.data))) for c in coeffs.coeffs))
+    worst = max(float(np.max(np.abs(a.data - b.data))) for a, b in zip(again.coeffs, coeffs.coeffs))
+    assert worst <= 1e-12 * scale
+
+
 def test_expand_inadmissible_sets_flag_and_warns():
     rule = gauss_hermite_rule(8)
 

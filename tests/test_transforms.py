@@ -220,6 +220,17 @@ def test_translation_roundtrip_residual():
         translation_roundtrip(6, tmap, np.zeros(3))
 
 
+@given(
+    z00=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    za=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    z=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    rank=st.integers(0, 5),
+)
+@settings(max_examples=40, deadline=None)
+def test_translation_roundtrip_at_random_shifts(z00, za, z, rank):
+    assert translation_roundtrip(rank, TranslationMap(z00, za), np.array(z)) <= 1e-9
+
+
 # --- orthogonality after translation --------------------------------------
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symtensor import SUPPORTED_DIMS, SymTensor, _axis_counts, identity, max_component_diff, scalar, sym_product
+from .symtensor import SUPPORTED_DIMS, SymTensor, _axis_counts, max_component_diff, scalar, sym_product
 
 __all__ = [
     "BasisEvaluation",
@@ -172,29 +172,13 @@ class BasisEvaluation:
         return self.values[rank]
 
 
-def _seed_one(components, dim):
-    first = components[0]
-    if isinstance(first, PolyScalar):
-        return PolyScalar.constant(dim, 1)
-    if isinstance(first, np.ndarray):
-        return np.ones_like(first, dtype=np.float64)
-    return 1.0
-
-
-def _delta_tensor(components, dim):
-    if isinstance(components[0], PolyScalar):
-        one = PolyScalar.constant(dim, 1)
-        zero = PolyScalar.constant(dim, 0)
-        return SymTensor.from_function(dim, 2, lambda t: one if t[0] == t[1] else zero)
-    return identity(dim)
-
-
 def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
-    """Hermite tensors of rank 0..max_rank via the three-term recursion.
+    """Hermite tensors of rank 0..max_rank at one point via the three-term recursion.
 
-    ``components`` holds the d coordinates; each may be a float, an equal
-    length numpy array (batched evaluation) or a PolyScalar.  Returns a list
-    of SymTensor, one per rank.
+    ``components`` holds the d coordinates, either floats or exact
+    PolyScalars (then the tensors are coefficient tables).  Array
+    coordinates are refused with ``ValueError``; rows at many points come
+    from ``product_rows``.  Returns a list of SymTensor, one per rank.
     """
     comps = list(components)
     if len(comps) != dim:
@@ -204,11 +188,11 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     if max_rank < 0:
         raise ValueError("max_rank must be non-negative")
     seed_factor = 2 if convention is PHYSICIST else 1
-    values = [scalar(_seed_one(comps, dim), dim)]
-    if max_rank == 0:
-        return values
-    values.append(SymTensor(dim, 1, [seed_factor * c for c in comps]))
-    delta = _delta_tensor(comps, dim)
+    exact = isinstance(comps[0], PolyScalar)
+    one, zero = (PolyScalar.constant(dim, 1), PolyScalar.constant(dim, 0)) if exact else (1.0, 0.0)
+    # H_1 is built even for max_rank 0, so array coordinates are refused at every rank
+    values = [scalar(one, dim), SymTensor(dim, 1, [seed_factor * c for c in comps])][: max_rank + 1]
+    delta = SymTensor.from_function(dim, 2, lambda t: one if t[0] == t[1] else zero)
     for n in range(1, max_rank):
         step = sym_product(values[n], values[1]) - (seed_factor * n) * sym_product(values[n - 1], delta)
         values.append(step)

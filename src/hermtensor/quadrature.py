@@ -247,6 +247,8 @@ class ExpansionCoefficients:
     admissible: bool = True
 
     def __post_init__(self):
+        if self.max_rank < 0:
+            raise ValueError(f"max_rank must be >= 0, got {self.max_rank}")
         if len(self.coeffs) != self.max_rank + 1:
             raise ValueError("need one coefficient tensor per rank 0..max_rank")
         for n, c in enumerate(self.coeffs):
@@ -299,7 +301,7 @@ def _partial_sums(tensors, rows):
     """sum over n <= N of inner(a_n, H_n) at each point, for N = 0, 1, ...; one array, updated in place."""
     total = np.zeros(rows[0].shape[1])
     for n, row in enumerate(rows):
-        total += (multiplicity_vector(n, tensors[n].dim) * np.atleast_1d(tensors[n].data)) @ row
+        total += (multiplicity_vector(n, tensors[n].dim) * tensors[n].data) @ row
         yield total
 
 

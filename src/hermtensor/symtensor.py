@@ -9,10 +9,11 @@ The module owns the label-count table of canonical storage (how often each
 axis appears in each tuple); symmetrized products read a split plan built
 once per rank pair from those tables.
 
-Components are float64 in ordinary use.  The same operations also accept
-components from other rings that support +, * and division by integers:
-batched evaluation stores one numpy row per component, and the coefficient
-tables of the Hermite module use exact polynomial scalars.
+A tensor holds one scalar per canonical tuple in a flat vector: float64 in
+ordinary use, or an exact ring element that supports +, * and division by
+integers, as the PolyScalar coefficient tables of the Hermite module do.
+Values at many points are rows of the Hermite module's product kernel, not
+tensors.
 """
 from __future__ import annotations
 
@@ -131,23 +132,26 @@ def multiplicity_vector(rank: int, dim: int) -> np.ndarray:
 
 
 def _component_array(values) -> np.ndarray:
+    """Float64 vector of the values, or an object vector when one is not a number (an exact ring element)."""
     values = list(values)
     try:
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except TypeError:
         arr = np.empty(len(values), dtype=object)
         for i, v in enumerate(values):
             arr[i] = v
+    except ValueError as exc:
+        raise ValueError("expected one scalar per canonical tuple, got ragged or non-numeric components") from exc
     return _frozen(arr)
 
 
 class SymTensor:
     """Fully symmetric tensor stored by canonical components.
 
-    ``data`` holds one entry per canonical index tuple.  Entries are scalars
-    for pointwise values or equal-length numpy rows for batched evaluation
-    (``data`` is then a 2-D float array).  Instances are immutable; all
-    operations return new tensors.
+    ``data`` is a read-only flat vector with one scalar per canonical index
+    tuple, float64 or exact (object dtype).  Any other shape, such as a 2-D
+    array or a list of arrays, is refused with ``ValueError``.  Instances
+    are immutable; all operations return new tensors.
     """
 
     __slots__ = ("dim", "rank", "data")
@@ -156,10 +160,12 @@ class SymTensor:
         _check_dim(dim)
         if rank < 0:
             raise ValueError("rank must be non-negative")
-        arr = components if isinstance(components, np.ndarray) else _component_array(components)
-        if len(arr) != n_components(rank, dim):
+        is_float = isinstance(components, np.ndarray) and components.dtype == np.float64
+        arr = components if is_float else _component_array(components)
+        if arr.shape != (n_components(rank, dim),):
             raise ValueError(
-                f"expected {n_components(rank, dim)} components for rank {rank}, dim {dim}, got {len(arr)}"
+                f"expected one scalar per canonical tuple, {n_components(rank, dim)} for rank {rank}, dim {dim};"
+                f" got components of shape {arr.shape}"
             )
         if arr.flags.writeable:
             arr = _frozen(arr.copy())
@@ -198,15 +204,6 @@ class SymTensor:
         if self.rank == 0:
             return np.asarray(self.data[0])
         return self.data[_dense_positions(self.rank, self.dim)].astype(np.float64, copy=False)
-
-    def indices(self):
-        """Canonical MultiIndex objects in storage order."""
-        for t in canonical_index_tuples(self.rank, self.dim):
-            yield MultiIndex(t, self.dim)
-
-    def items(self):
-        for t, v in zip(canonical_index_tuples(self.rank, self.dim), self.data):
-            yield MultiIndex(t, self.dim), v
 
     def __getitem__(self, key):
         if isinstance(key, MultiIndex):
@@ -316,21 +313,16 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     """Normalized symmetrized product: symmetrization of a (x) b divided by (p+q)!.
 
     Each output sums count * A[L] * B[I - L] over its split plan, starting from
-    zero and in canonical order of L, then divides by C(p+q, p).  Batched rows
-    and object components (exact PolyScalar tables) follow the same loop.
+    zero and in canonical order of L, then divides by C(p+q, p).  Float and
+    exact (object) components follow the same loop.
     """
     if a.dim != b.dim:
         raise ValueError("dim mismatch")
     p, q = a.rank, b.rank
     x, y = a.data, b.data
-    # batched rows sit on trailing axes; line them up against scalar components
-    x = x.reshape(x.shape[:1] + (1,) * (y.ndim - x.ndim) + x.shape[1:])
-    y = y.reshape(y.shape[:1] + (1,) * (x.ndim - y.ndim) + y.shape[1:])
-    shape = (n_components(p + q, a.dim),) + np.broadcast_shapes(x.shape[1:], y.shape[1:])
-    acc = np.zeros(shape, dtype=np.result_type(x, y, np.float64))
-    spread = (slice(None),) + (None,) * (acc.ndim - 1)
+    acc = np.zeros(n_components(p + q, a.dim), dtype=np.result_type(x, y, np.float64))
     for out, left, right, count in _split_plan(p, q, a.dim):
-        acc[out] += count[spread] * (x[left] * y[right])
+        acc[out] += count * (x[left] * y[right])
     return SymTensor(a.dim, p + q, acc / math.comb(p + q, p))
 
 

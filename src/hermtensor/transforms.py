@@ -44,11 +44,10 @@ DIVERGENCE_RATIO = 10.0
 
 @dataclass(frozen=True)
 class ScalingMap:
-    """The affine map z' = alpha (z - z0), with an opaque amplitude ratio."""
+    """The affine map z' = alpha (z - z0)."""
 
     alpha: float
     z0: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    amplitude_ratio: float = 1.0
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -266,3 +267,38 @@ def test_output_independent_of_blas_thread_count():
         outputs.append(done.stdout)
     assert outputs[0].count(b'"command": "verify"') == 4
     assert outputs[0] == outputs[1]
+
+
+# --- pinned bytes ---------------------------------------------------------
+
+# Only IEEE +, -, * and divisions by integers feed these outputs, never BLAS,
+# so their bytes are the same on every host: one bit moved in the recursion
+# or the formatter changes a digest.
+CONVENTIONS = ("physicist", "probabilist")
+PINNED_ARGVS = {
+    "basis": [
+        ["basis", "--rank", str(rank), f"--point={point}", "--convention", convention]
+        for convention in CONVENTIONS for rank in range(7) for point in ("0.3,1,2", "-4.5,0.7,3.9", "0,-0.0,1.25")
+    ],
+    "basis-symbolic": [
+        ["basis", "--rank", str(rank), "--symbolic", "--convention", convention]
+        for convention in CONVENTIONS for rank in range(5)
+    ],
+    # either side of the factor-four edge T_i = 4 T_n
+    "window": [["window", "--ti", ti, "--tn", "1000"] for ti in ("3999", "4001")],
+}
+PINNED_SHA256 = {
+    "basis": "a89d3289c66eaa0e43ce96f5a1f24e303cfed687e2d4a577f9707829ec15e312",
+    "basis-symbolic": "d7001f6b55afaabb2fb9f591a5ec3a2fc12745d337b5b372a51da9b15acbac2b",
+    "window": "2543a0452d2aa424243f7e55c5ad5d587ebbf431f63bb2d927c88690dd8cfe35",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_ARGVS))
+def test_blas_free_output_bytes_are_pinned(group):
+    digest = hashlib.sha256()
+    for argv in PINNED_ARGVS[group]:
+        code, text = invoke(argv)
+        assert code == 0, argv
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_SHA256[group]

@@ -116,8 +116,21 @@ def test_recursion_matches_product_oracle_randomly():
 
 
 def recursion_rows(max_rank, points, convention):
-    cols = [points[:, a] for a in range(points.shape[1])]
-    return [np.atleast_2d(t.data) for t in evaluate_basis(max_rank, cols, dim=points.shape[1], convention=convention)]
+    """Rows (#components, K) per rank from one recursion per point."""
+    per_point = [evaluate_basis(max_rank, p, dim=points.shape[1], convention=convention) for p in points]
+    return [np.stack([basis[n].data for basis in per_point], axis=1) for n in range(max_rank + 1)]
+
+
+def symbolic_rows(max_rank, points, convention):
+    """Rows (#components, K) per rank from the recursion's exact tables, summed term by term at each point."""
+    cols = points.T
+    return [
+        np.array([
+            sum(float(c) * np.prod([x**e for x, e in zip(cols, exps)], axis=0) for exps, c in poly.terms())
+            for poly in table.data
+        ])
+        for table in hermite_symbolic(max_rank, points.shape[1], convention)
+    ]
 
 
 def assert_rows_agree(got, want):
@@ -139,7 +152,7 @@ def test_product_rows_match_batched_recursion(convention, dim):
 @pytest.mark.parametrize("convention", [PHYSICIST, PROBABILIST])
 def test_grid_basis_rows_match_batched_recursion(convention):
     pts = grid_points(gauss_hermite_rule(16))
-    assert_rows_agree(product_rows(6, pts, convention), recursion_rows(6, pts, convention))
+    assert_rows_agree(product_rows(6, pts, convention), symbolic_rows(6, pts, convention))
 
 
 def test_parity():
@@ -165,16 +178,11 @@ def test_unnormalized_recursion_identity():
         assert max_component_diff(lhs, rhs) < 1e-12 * scale
 
 
-def test_batched_grid_equals_pointwise():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-2, 2, size=(10, 3))
-    batched = evaluate_basis(4, (pts[:, 0], pts[:, 1], pts[:, 2]))
-    for k, z in enumerate(pts):
-        single = hermite_phys(4, z)
-        for rank in range(5):
-            np.testing.assert_allclose(
-                np.atleast_2d(batched[rank].data)[:, k], np.atleast_1d(single[rank].data), rtol=1e-13
-            )
+@pytest.mark.parametrize("max_rank", [0, 1, 3])
+def test_evaluate_basis_refuses_array_coordinates(max_rank):
+    # rows at many points come from product_rows; the recursion takes one point or exact tables
+    with pytest.raises(ValueError, match="one scalar per canonical tuple"):
+        evaluate_basis(max_rank, (np.ones(4), np.zeros(4), np.ones(4)))
 
 
 # ---------------------------------------------------------------- probabilist

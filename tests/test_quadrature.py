@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermtensor.hermite import PROBABILIST, product_rows
+from hermtensor.mixed6 import stack_coefficients
 from hermtensor.quadrature import (
     ATOMIC_MASS,
     BOLTZMANN,
@@ -296,6 +297,20 @@ def test_expand_inadmissible_sets_flag_and_warns():
     with pytest.warns(UserWarning):
         coeffs = expand(lambda p: runaway(p), 1, rule, vectorized=True)
     assert not coeffs.admissible
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ExpansionCoefficients(-1, ()),
+        lambda: stack_coefficients(ExpansionCoefficients(-1, ()), ExpansionCoefficients(0, (scalar(1.0, 3),))),
+        lambda: reconstruct(ExpansionCoefficients(-1, ()), np.zeros(3)),
+    ],
+    ids=["construct", "stack_coefficients", "reconstruct"],
+)
+def test_negative_max_rank_refused_at_construction(call):
+    with pytest.raises(ValueError, match="max_rank must be >= 0"):
+        call()
 
 
 def test_reconstruct_single_point_matches_batch():

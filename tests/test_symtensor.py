@@ -116,6 +116,28 @@ def test_component_count_enforced():
         SymTensor(3, 2, [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "components",
+    [
+        np.ones((3, 4)),
+        [np.ones(4), np.ones(4), np.ones(4)],
+        [np.ones(2), np.ones(3), np.ones(2)],
+        np.array([np.ones(2), np.ones(3), np.ones(2)], dtype=object),
+    ],
+    ids=["2-D array", "equal rows", "ragged rows", "object array of rows"],
+)
+def test_components_are_one_scalar_per_tuple(components):
+    with pytest.raises(ValueError, match="one scalar per canonical tuple"):
+        SymTensor(3, 1, components)
+
+
+def test_float_and_exact_components_are_accepted():
+    assert SymTensor(3, 1, [1, 2.5, np.float64(3)]).data.dtype == np.float64
+    assert SymTensor(3, 1, np.arange(3)).data.dtype == np.float64
+    exact = SymTensor(3, 1, [PolyScalar.variable(3, a) for a in range(3)])
+    assert exact.data.dtype == object and exact.data.shape == (3,)
+
+
 def test_identity_components():
     d = identity(3)
     assert d[0, 0] == 1.0 and d[1, 1] == 1.0 and d[2, 2] == 1.0
@@ -133,15 +155,14 @@ def test_dense_roundtrip():
 @pytest.mark.parametrize("rank", range(6))
 def test_to_dense_matches_permutation_fill(rank, dim):
     rng = np.random.default_rng(rank)
-    for batch in ((), (4,)):
-        t = SymTensor(dim, rank, rng.standard_normal((n_components(rank, dim),) + batch))
-        expected = np.empty((dim,) * rank + batch)
-        for pos, idx in enumerate(canonical_index_tuples(rank, dim)):
-            for perm in set(itertools.permutations(idx)):
-                expected[perm] = t.data[pos]
-        dense = t.to_dense()
-        assert dense.dtype == np.float64 and dense.shape == expected.shape
-        assert dense.tobytes() == expected.tobytes()
+    t = SymTensor(dim, rank, rng.standard_normal(n_components(rank, dim)))
+    expected = np.empty((dim,) * rank)
+    for pos, idx in enumerate(canonical_index_tuples(rank, dim)):
+        for perm in set(itertools.permutations(idx)):
+            expected[perm] = t.data[pos]
+    dense = t.to_dense()
+    assert dense.dtype == np.float64 and dense.shape == expected.shape
+    assert dense.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- sym ops
@@ -259,8 +280,6 @@ def test_sym_product_matches_grouped_enumeration():
         rings = [
             (rng.standard_normal(na), rng.standard_normal(nb)),
             (rng.choice(specials, na), rng.choice(specials, nb)),
-            (rng.standard_normal((na, 4)), rng.standard_normal(nb)),  # batched x scalar
-            (rng.standard_normal(na), rng.standard_normal((nb, 4))),  # scalar x batched, as H_{n-1} x I
         ]
         if dim == 3 or p + q <= 4:  # exact products at 6-D ranks 5-6 cost seconds; floats cover those plans
             rings.append((monomials(na, dim), monomials(nb, dim)))

@@ -122,7 +122,10 @@ def _parse_vector(text: str, length: int = 3) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != length:
         raise ValueError(f"expected {length} comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    vector = tuple(float(p) for p in parts)
+    if not all(math.isfinite(c) for c in vector):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return vector
 
 
 def _check(name: str, value: float, tolerance: float, mode: str = "max") -> dict:

@@ -61,8 +61,8 @@ class SpeciesPair:
     T: float
 
     def __post_init__(self):
-        if not (self.m_s > 0 and self.m_sp > 0 and self.T > 0):
-            raise ValueError("masses and temperature must be positive")
+        if not all(0 < x < math.inf for x in (self.m_s, self.m_sp, self.T)):
+            raise ValueError("masses and temperature must be finite and positive")
 
     @property
     def reduced_mass(self) -> float:

@@ -1,14 +1,17 @@
 """Gauss-Hermite quadrature and Hermite-series expansion of distributions.
 
 Integrals are taken against the weight exp(-x**2) on each axis, tensorized
-over three dimensions.  Orthogonality tables, expansion coefficients and
-truncation errors are all reduced to weighted sums of basis values on the
-node grid; the basis rows come from the product-form kernel of the hermite
-module, evaluated on every node at once.  The grid (node triples, weights,
-the factor exp(+z.z)) and its physicist basis rows depend only on the rule,
-so each rule instance builds them once, on first use, and keeps them
-read-only.  The node triples are stored axis-major, so a sum over a
-point's coordinates is three contiguous vector adds.
+over three dimensions.  On that grid each basis function factors into 1-D
+polynomials, H_n,i(z) = prod_a h_{m_a}(z_a), so projection runs axis by
+axis: three small contractions of the weighted sample against one 1-D table
+of h_0..h_N at the nodes give every moment, and each coefficient is a
+gather from that moment cube.  The full basis rows on the node grid, from
+the product-form kernel of the hermite module, are built only for
+orthogonality tables and truncation errors.  The grid (node triples,
+weights, the factor exp(+z.z)), the 1-D table and the basis rows depend
+only on the rule, so each rule instance builds them once, on first use,
+and keeps them read-only.  The node triples are stored axis-major, so a
+sum over a point's coordinates is three contiguous vector adds.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, PROBABILIST, product_rows
-from .symtensor import SymTensor, multiplicity_vector, n_components
+from .hermite import PHYSICIST, PROBABILIST, _hermite_table, product_rows
+from .symtensor import SymTensor, _axis_counts, multiplicity_vector, n_components
 
 __all__ = [
     "AdmissibilityResult",
@@ -59,9 +62,10 @@ class NonFiniteIntegrandError(ArithmeticError):
 class QuadratureRule:
     """1-D Gauss-Hermite nodes and weights, tensorized on demand.
 
-    The 3-D grid and its basis rows are built once per rule instance, on
-    first use, and are read-only; a rule built by hand with other nodes
-    gets a grid of its own.  Rules compare and hash by identity.
+    The 3-D grid, the 1-D basis table and the basis rows are built once per
+    rule instance, on first use, and are read-only; a rule built by hand
+    with other nodes gets a grid of its own.  Rules compare and hash by
+    identity.
     """
 
     order: int
@@ -149,6 +153,18 @@ def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
         for row in rows:
             row.setflags(write=False)
     return rows[: max_rank + 1]
+
+
+def _axis_table(rule: QuadratureRule, max_rank: int) -> np.ndarray:
+    """1-D physicist h_0..h_max_rank at the rule's nodes, shape (max_rank + 1, order); read-only.
+
+    Kept at the highest rank asked for so far, as the grid rows are.
+    """
+    table = rule._grid.get("axis")
+    if table is None or len(table) <= max_rank:
+        table = rule._grid["axis"] = _hermite_table(max_rank, rule.nodes)
+        table.setflags(write=False)
+    return table[: max_rank + 1]
 
 
 def _sample(f, rule: QuadratureRule, vectorized: bool):
@@ -267,18 +283,28 @@ def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorize
         a_m[i] = 1 / (2**m m! f0) * Integral pi**(-3/2) f(z) H_m,i(z) d^3z.
 
     The integrals run over the node grid with the Gaussian factor divided
-    out of f.  If the order-doubling stability probe flags f as outside the
-    weighted L2 space, a warning is issued and the coefficients are still
-    returned with ``admissible=False``.  The rule needs an order of at
-    least 2 max_rank + 2, and at most 32 for the probe.
+    out of f, axis by axis: each is a moment of the weighted sample against
+    the rule's cached 1-D table h_0..h_max_rank, so no basis rows on the
+    grid are built.  f0 must be finite and nonzero.  If the order-doubling
+    stability probe flags f as outside the weighted L2 space, a warning is
+    issued and the coefficients are still returned with
+    ``admissible=False``.  The rule needs an order of at least
+    2 max_rank + 2, and at most 32 for the probe.
     """
     return _project(f, max_rank, rule, f0, vectorized)[0]
 
 
+def _moments(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Moment cube M[a, b, c] = sum_ijk h_a(x_i) h_b(x_j) h_c(x_k) v_ijk of a grid vector v, one axis at a time."""
+    top, order = table.shape
+    first = (table @ weighted.reshape(order, order * order)).reshape(top * order, order)  # [a, j, k]
+    return table @ (first @ table.T).reshape(top, order, top)  # [a, j, c], then b from j
+
+
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
-    """Probe, then project f: (coefficients, the rule's sample, rank 0..max_rank basis rows)."""
-    if f0 == 0.0:
-        raise ValueError("f0 must be nonzero")
+    """Probe, then project f: (coefficients, the rule's sample)."""
+    if f0 == 0.0 or not math.isfinite(f0):
+        raise ValueError(f"f0 must be finite and nonzero, got {f0}")
     _require_order(rule, max_rank)
     fine_rule = _doubled_rule(rule)
     sample = _sample(f, rule, vectorized)
@@ -288,13 +314,13 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
     points, weights, values, g = sample
     _require_finite(values, points)
-    weighted = weights * g
-    rows = _grid_rows(rule, max_rank)
+    # H_m,i on the tensor grid is the product of 1-D h_{count of axis a in i}, so its integral is a moment
+    moments = _moments(weights * g, _axis_table(rule, max_rank))
     coeffs = []
     for m in range(max_rank + 1):
-        integrals = math.pi ** (-1.5) * rows[m] @ weighted
+        integrals = math.pi ** (-1.5) * moments[tuple(_axis_counts(m, 3).T)]
         coeffs.append(SymTensor(3, m, integrals / (2.0**m * math.factorial(m) * f0)))
-    return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample, rows
+    return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample
 
 
 def _partial_sums(tensors, rows):
@@ -327,7 +353,8 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     which the expansion is an orthogonal projection, so the sequence cannot
     increase as ranks are added.
     """
-    coeffs, (_, weights, _, g), rows = _project(f, max_rank, rule, f0, vectorized)
+    coeffs, (_, weights, _, g) = _project(f, max_rank, rule, f0, vectorized)
+    rows = _grid_rows(rule, max_rank)
     errors = np.empty(max_rank + 1)
     for top, partial in enumerate(_partial_sums(coeffs.coeffs, rows)):
         residual = g - f0 * partial
@@ -350,9 +377,11 @@ class WeightSpec:
     v_av: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.density <= 0 or self.mass <= 0 or self.temperature <= 0:
-            raise ValueError("density, mass and temperature must be positive")
+        if not all(0 < x < math.inf for x in (self.density, self.mass, self.temperature)):
+            raise ValueError("density, mass and temperature must be finite and positive")
         object.__setattr__(self, "v_av", tuple(float(c) for c in self.v_av))
+        if not all(math.isfinite(c) for c in self.v_av):
+            raise ValueError(f"v_av must be finite, got {self.v_av}")
 
     @property
     def thermal_speed(self) -> float:

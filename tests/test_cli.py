@@ -203,6 +203,23 @@ def test_library_quadrature_guards_exit_2():
     assert invoke(["verify", "scale", "--quad-order", "33"])[0] == 2
 
 
+EXPAND = ["expand", "--mass", "28", "--temperature", "300"]
+NON_FINITE_ARGVS = [
+    *(["basis", "--rank", "2", f"--point={v}"] for v in ("nan,0,0", "0,inf,0", "0,0,-inf")),
+    *(["verify", "scale", "--z0", v] for v in ("nan,0,0", "1,inf,0")),
+    *([*EXPAND, f"--drift={v}"] for v in ("nan,0,0", "100,0,-inf")),
+    *(["expand", "--mass", mass, "--temperature", t] for mass, t in (("4", "inf"), ("nan", "300"), ("inf", "300"), ("28", "nan"))),
+    [*EXPAND, "--density", "nan"],
+    [*EXPAND, "--density", "inf"],
+    *(["verify", "rotate", option, v] for option in ("--ms", "--msp", "--temperature") for v in ("inf", "nan")),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)
+def test_non_finite_inputs_exit_2(argv):
+    assert invoke(argv) == (2, "")
+
+
 def test_numeric_error_exits_3(monkeypatch):
     def boom(*args, **kwargs):
         raise NonFiniteIntegrandError((0.0, 0.0, 0.0))

@@ -59,6 +59,15 @@ def test_species_pair_validation():
         SpeciesPair(1.0e-26, 1.0e-26, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_species_pair_refuses_non_finite(slot, bad):
+    args = [1.0e-26, 1.0e-26, 300.0]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpeciesPair(*args)
+
+
 @pytest.mark.parametrize("ratio", MASS_RATIOS)
 def test_block_coefficients_unit_circle(ratio):
     rot = BlockRotation.from_pair(pair_with_ratio(ratio))

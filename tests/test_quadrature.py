@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermtensor.hermite import PROBABILIST, product_rows
+from hermtensor.hermite import PROBABILIST, _hermite_table, product_rows
 from hermtensor.mixed6 import stack_coefficients
 from hermtensor.quadrature import (
     ATOMIC_MASS,
@@ -15,6 +15,7 @@ from hermtensor.quadrature import (
     NonFiniteIntegrandError,
     QuadratureRule,
     WeightSpec,
+    _axis_table,
     _grid_rows,
     expand,
     gauss_hermite_rule,
@@ -471,6 +472,9 @@ def test_grid_cache_matches_fresh_build():
         assert bits(rows) == bits(product_rows(rank, grid_points(fresh)))
     # rank 4 after rank 6 reads a prefix of the rank-6 table
     assert all(a is b for a, b in zip(_grid_rows(rule, 4), _grid_rows(rule, 6)))
+    for rank in (2, 6, 4):
+        assert _axis_table(rule, rank).tobytes() == _hermite_table(rank, fresh.nodes).tobytes()
+    assert _axis_table(rule, 4).base is rule._grid["axis"] and len(rule._grid["axis"]) == 7
 
 
 def test_grid_points_axis_major():
@@ -497,7 +501,7 @@ def test_grid_cache_is_read_only(vectorized):
     rule = unshared_rule(6)
     f = maxwellian((0.3, 0.0, -0.2))
     before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
-    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], *_grid_rows(rule, 2)]
+    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], rule._grid["axis"], *_grid_rows(rule, 2)]
     assert not any(a.flags.writeable for a in cached)
 
     def overwrites_points(p):
@@ -516,11 +520,51 @@ def test_hand_built_rule_has_its_own_grid():
     f = maxwellian((0.3, 0.0, -0.2))
     np.testing.assert_array_equal(grid_points(scaled), 1.01 * grid_points(unshared_rule(16)))
     assert not np.array_equal(_grid_rows(scaled, 2)[1], _grid_rows(shared, 2)[1])
+    assert not np.array_equal(_axis_table(scaled, 2), _axis_table(shared, 2))
     assert grid_points(shared).tobytes() == grid_points(unshared_rule(16)).tobytes()
     a = expand(f, 2, shared, f0=math.pi ** (-1.5), vectorized=True)
     b = expand(f, 2, scaled, f0=math.pi ** (-1.5), vectorized=True)
     assert not np.array_equal(a[1].data, b[1].data)
     assert not np.array_equal(scaled._grid["gauss"], shared._grid["gauss"])
+
+
+def row_oracle(f, max_rank, rule, f0):
+    """Coefficients by the basis-row route: each rank's rows on the grid against the weighted sample."""
+    points = grid_points(rule)
+    with np.errstate(over="ignore"):
+        weighted = grid_weights(rule) * f(points) * np.exp(np.sum(points**2, axis=1))
+    rows = product_rows(max_rank, points)
+    return [math.pi ** (-1.5) * (rows[m] @ weighted) / (2.0**m * math.factorial(m) * f0) for m in range(max_rank + 1)]
+
+
+@pytest.mark.parametrize("max_rank", range(7))
+def test_expand_matches_row_oracle(max_rank):
+    rng = np.random.default_rng(max_rank)
+    f0 = math.pi ** (-1.5)
+    for order in range(2 * max_rank + 2, 33):
+        shared = gauss_hermite_rule(order)
+        for rule in (shared, QuadratureRule(order, shared.nodes * 1.01, shared.weights)):
+            f = drifting_maxwellian(rng.uniform(-0.8, 0.8, 3), rng.uniform(0.6, 1.5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # low orders may fail the stability probe
+                got = expand(f, max_rank, rule, f0, vectorized=True)
+            for m, want in enumerate(row_oracle(f, max_rank, rule, f0)):
+                assert np.max(np.abs(got[m].data - want) / np.maximum(1.0, np.abs(want))) <= 1e-13, (order, m)
+
+
+def test_expand_builds_no_grid_rows():
+    rule = unshared_rule(16)
+    expand(maxwellian((0.3, 0.0, -0.2)), 6, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert "rows" not in rule._grid and "axis" in rule._grid
+    truncation_error(maxwellian((0.3, 0.0, -0.2)), 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert len(rule._grid["rows"]) == 3
+
+
+@pytest.mark.parametrize("f0", [0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("project", [expand, truncation_error], ids=["expand", "truncation_error"])
+def test_f0_must_be_finite_and_nonzero(project, f0):
+    with pytest.raises(ValueError, match="f0"):
+        project(maxwellian((0, 0, 0)), 2, gauss_hermite_rule(6), f0, vectorized=True)
 
 
 def test_rule_too_coarse_for_rank_raises():
@@ -583,3 +627,17 @@ def test_weight_spec_density_normalization():
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec(density=0.0, mass=1.0, temperature=10.0)
+
+
+NON_FINITE = (math.inf, math.nan, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{name: v} for name in ("density", "mass", "temperature") for v in NON_FINITE]
+    + [{"v_av": (v, 0.0, 0.0)} for v in NON_FINITE],
+    ids=str,
+)
+def test_weight_spec_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightSpec(**{"density": 1.0, "mass": 28 * ATOMIC_MASS, "temperature": 300.0, **bad})

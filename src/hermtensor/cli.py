@@ -35,7 +35,7 @@ from .quadrature import (
     gauss_hermite_rule,
     ortho_matrix,
 )
-from .symtensor import SymTensor, canonical_index_tuples, perm_delta, scalar
+from .symtensor import SymTensor, canonical_index_tuples, n_components, perm_delta, scalar
 from .transforms import (
     DIVERGENCE_RATIO,
     TO_CENTERED,
@@ -175,10 +175,7 @@ def cmd_basis(args) -> tuple[dict, int]:
 
 def cmd_window(args) -> tuple[dict, int]:
     window = temperature_window(args.ti, args.tn)
-    if window is None:
-        message = EMPTY_WINDOW_MESSAGE
-    else:
-        message = f"({window[0]:g}, {window[1]:g})"
+    message = EMPTY_WINDOW_MESSAGE if window is None else f"({window[0]:g}, {window[1]:g})"
     report = {
         "command": "window",
         "config": {"ti": args.ti, "tn": args.tn, "seed": args.seed},
@@ -228,12 +225,10 @@ def cmd_expand(args) -> tuple[dict, int]:
 
 
 def _expected_gram(m_rank: int, n_rank: int, convention) -> np.ndarray:
-    rows = canonical_index_tuples(m_rank, 3)
-    cols = canonical_index_tuples(n_rank, 3)
     if m_rank != n_rank:
-        return np.zeros((len(rows), len(cols)))
+        return np.zeros((n_components(m_rank, 3), n_components(n_rank, 3)))
     factor = 2.0**n_rank if convention is PHYSICIST else 1.0
-    return factor * np.array([[perm_delta(i, j) for j in cols] for i in rows], dtype=np.float64)
+    return factor * np.diag([float(perm_delta(t, t)) for t in canonical_index_tuples(n_rank, 3)])
 
 
 def _suite_ortho(args) -> tuple[dict, list[dict]]:
@@ -292,10 +287,8 @@ def _suite_scale(args) -> tuple[dict, list[dict]]:
     for alpha in alphas:
         expected_finite = scaling_admissible(alpha)
         result = convergence_probe(ScalingMap(alpha, z0), rule)
-        if math.isfinite(result.coarse) and math.isfinite(result.fine) and result.coarse != 0.0:
-            ratio = result.fine / result.coarse
-        else:
-            ratio = math.inf
+        finite = math.isfinite(result.coarse) and math.isfinite(result.fine) and result.coarse != 0.0
+        ratio = result.fine / result.coarse if finite else math.inf
         row = _check(f"probe-alpha-{alpha:g}", ratio, DIVERGENCE_RATIO, mode="max" if expected_finite else "min")
         row["classification"] = result.classification
         row["pass"] = (result.classification == "finite") == expected_finite

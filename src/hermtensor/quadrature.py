@@ -5,13 +5,13 @@ over three dimensions.  On that grid each basis function factors into 1-D
 polynomials, H_n,i(z) = prod_a h_{m_a}(z_a), so projection runs axis by
 axis: three small contractions of the weighted sample against one 1-D table
 of h_0..h_N at the nodes give every moment, and each coefficient is a
-gather from that moment cube.  The full basis rows on the node grid, from
-the product-form kernel of the hermite module, are built only for
-orthogonality tables and truncation errors.  The grid (node triples,
-weights, the factor exp(+z.z)), the 1-D table and the basis rows depend
-only on the rule, so each rule instance builds them once, on first use,
-and keeps them read-only.  The node triples are stored axis-major, so a
-sum over a point's coordinates is three contiguous vector adds.
+gather from that moment cube; each Gram entry is a product of three 1-D
+sums.  The full basis rows on the node grid, from the product-form kernel
+of the hermite module, serve truncation errors only.  The grid (node
+triples, weights, the factor exp(+z.z)), the 1-D table and the basis rows
+depend only on the rule, so each rule instance builds them once, on first
+use, and keeps them read-only.  The node triples are stored axis-major, so
+a sum over a point's coordinates is three contiguous vector adds.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, PROBABILIST, _hermite_table, product_rows
-from .symtensor import SymTensor, _axis_counts, multiplicity_vector, n_components
+from .hermite import PHYSICIST, _hermite_table, product_rows
+from .symtensor import SymTensor, _axis_counts, multiplicity_vector
 
 __all__ = [
     "AdmissibilityResult",
@@ -204,13 +204,17 @@ def _grid_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return float(np.add.reduce(weights * values))
 
 
-def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, points=None, convention=PHYSICIST) -> np.ndarray:
-    """pi**(-3/2) sum_k w_k H_m,i(p_k) H_n,j(p_k) over the rule's weights, at the given points or its nodes."""
-    top = max(m_rank, n_rank)
+def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYSICIST, shift=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """pi**(-3/2) sum_k w_k H_m,i H_n,j over the node triples, scaled by 1 (physicist) or sqrt(2), minus ``shift``."""
     _require_order(rule, m_rank)
     _require_order(rule, n_rank)
-    rows = _grid_rows(rule, top) if points is None else product_rows(top, points, convention)
-    return math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m_rank], rows[n_rank])
+    scale, factor = (1.0, 2.0) if convention is PHYSICIST else (math.sqrt(2.0), 1.0)
+    rows, cols = _axis_counts(m_rank, 3), _axis_counts(n_rank, 3)
+    gram = math.pi ** (-1.5)
+    for axis in range(3):  # entry (i, j) is prod_a G_a[count of a in i, count of a in j], G_a = (T_a w) T_a^T
+        table = _hermite_table(max(m_rank, n_rank), scale * rule.nodes - shift[axis], factor)
+        gram = gram * ((table * rule.weights) @ table.T)[rows[:, axis, None], cols[None, :, axis]]
+    return gram
 
 
 def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYSICIST) -> np.ndarray:
@@ -219,12 +223,10 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
     Physicist: pi**(-3/2) Integral exp(-z.z) H_m,i H_n,j; probabilist: the
     weight (2 pi)**(-3/2) exp(-z.z/2) against He_m,i He_n,j, mapped onto the
     same nodes by the substitution z = sqrt(2) x.  Shape is (#components(m),
-    #components(n)).
+    #components(n)); each entry is a product of three 1-D sums.
     """
     _require_rank("ortho_matrix", max(m_rank, n_rank))
-    if convention is PROBABILIST:
-        return _gram(m_rank, n_rank, rule, math.sqrt(2.0) * grid_points(rule), PROBABILIST)
-    return _gram(m_rank, n_rank, rule)
+    return _gram(m_rank, n_rank, rule, convention)
 
 
 class AdmissibilityResult(NamedTuple):
@@ -245,12 +247,14 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
 
 
 def _admissibility(coarse_sample, fine_sample) -> AdmissibilityResult:
+    samples = (coarse_sample, fine_sample)
+    # exact scaling by a power of two near 1 / max |g|, so a constant factor of f (the density) cannot overflow g**2
+    peak = max(float(np.max(np.abs(g))) for *_, g in samples)
+    unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
     with np.errstate(over="ignore"):
-        coarse, fine = (_grid_sum(w, g * g) for _, w, _, g in (coarse_sample, fine_sample))
-    if not (np.isfinite(coarse) and np.isfinite(fine)):
-        return AdmissibilityResult(False, fine)
-    scale = max(abs(coarse), abs(fine))
-    return AdmissibilityResult(abs(fine - coarse) <= 0.05 * scale, fine)
+        coarse, fine = (_grid_sum(w, np.square(g * (1.0 / unit))) for _, w, _, g in samples)
+    stable = math.isfinite(coarse) and math.isfinite(fine) and abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine))
+    return AdmissibilityResult(stable, fine * unit * unit)
 
 
 @dataclass(frozen=True)

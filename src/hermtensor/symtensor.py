@@ -260,18 +260,20 @@ def identity(dim: int) -> SymTensor:
 
 def outer_power(vector, power: int) -> SymTensor:
     """Symmetric outer power v^(k): component at (i1..ik) is v_i1 * ... * v_ik."""
-    vec = list(vector)
+    vec = np.asarray(vector)
     _check_dim(len(vec))
     if power < 0:
         raise ValueError("power must be non-negative")
+    out = np.ones(n_components(power, len(vec)))
+    for column in _index_columns(power, len(vec)):  # left to right from 1.0
+        out = out * vec[column]
+    return SymTensor(len(vec), power, _frozen(out))
 
-    def component(t):
-        out = 1.0
-        for a in t:
-            out = out * vec[a]
-        return out
 
-    return SymTensor.from_function(len(vec), power, component)
+@lru_cache(maxsize=None)
+def _index_columns(rank: int, dim: int) -> np.ndarray:
+    """(rank, components) table: row k holds the k-th index of each canonical tuple."""
+    return _frozen(np.array(canonical_index_tuples(rank, dim), dtype=np.intp).T.copy())
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, _require_rank, grid_points, grid_weights
+from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, _require_rank
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -94,14 +94,14 @@ def alpha_from_temperatures(T: float, T_s: float) -> float:
 
 
 def temperature_window(T_i: float, T_n: float):
-    """Open interval of basis temperatures serving both T_i and T_n.
+    """Open interval of basis temperatures serving both finite T_i and T_n.
 
     A basis at T must satisfy 2T > T_i and T < 2 T_n simultaneously, giving
     (T_i / 2, 2 T_n).  Returns None when the interval is empty, which for
     T_i >= T_n happens exactly when T_i >= 4 T_n.
     """
-    if not (T_i >= T_n and T_n > 0):
-        raise ValueError("need T_i >= T_n > 0")
+    if not (T_i >= T_n and T_n > 0 and math.isfinite(T_i)):
+        raise ValueError("need finite T_i >= T_n > 0")
     lo, hi = T_i / 2.0, 2.0 * T_n
     return (lo, hi) if lo < hi else None
 
@@ -119,18 +119,17 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     when alpha**2 < 2.  The quadrature value is taken at the rule's order
     and at double the order: a non-finite value, or a doubled-order value
     above DIVERGENCE_RATIO times the coarse one, is classified divergent,
-    anything else finite; both values are returned.  Near the alpha**2 = 2
+    anything else finite; both values are returned, each a product of three
+    1-D sums, one per factor of the integrand.  Near the alpha**2 = 2
     boundary a two-point probe is indecisive by construction.  Needs rule
     order <= 32.
     """
     fine_rule = _doubled_rule(rule)
 
     def value(r):
-        points = grid_points(r)
-        scaled = smap.apply(points)
         with np.errstate(over="ignore"):
-            g = np.exp(np.sum(scaled**2, axis=1) - np.sum(points**2, axis=1))
-            return _grid_sum(grid_weights(r), g)
+            sums = [_grid_sum(r.weights, np.exp((smap.alpha * (r.nodes - c)) ** 2 - r.nodes**2)) for c in smap.z0]
+        return sums[0] * sums[1] * sums[2]
 
     coarse = value(rule)
     fine = value(fine_rule)
@@ -200,4 +199,4 @@ def orthogonality_after_translation(n_rank: int, m_rank: int, tmap: TranslationM
     with s = za - z00.  At s = 0 this is the orthogonality table; any other
     shift breaks both the cross-rank zeros and the diagonal normalization.
     """
-    return _gram(n_rank, m_rank, rule, grid_points(rule) - tmap.shift)
+    return _gram(n_rank, m_rank, rule, shift=tmap.shift)

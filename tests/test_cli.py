@@ -211,6 +211,7 @@ NON_FINITE_ARGVS = [
     *(["expand", "--mass", mass, "--temperature", t] for mass, t in (("4", "inf"), ("nan", "300"), ("inf", "300"), ("28", "nan"))),
     [*EXPAND, "--density", "nan"],
     [*EXPAND, "--density", "inf"],
+    *(["window", "--ti", ti, "--tn", tn] for ti, tn in (("inf", "1000"), ("inf", "inf"), ("nan", "1000"))),
     *(["verify", "rotate", option, v] for option in ("--ms", "--msp", "--temperature") for v in ("inf", "nan")),
 ]
 
@@ -218,6 +219,13 @@ NON_FINITE_ARGVS = [
 @pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)
 def test_non_finite_inputs_exit_2(argv):
     assert invoke(argv) == (2, "")
+
+
+def test_expand_at_largest_density_is_admissible(recwarn):
+    code, report = invoke_json([*EXPAND, "--density", "1e308"])
+    assert code == 0 and report["admissible"] is True
+    assert report["coefficients"][0]["components"][0]["value"] == pytest.approx(1.0, rel=1e-12)
+    assert not recwarn.list
 
 
 def test_numeric_error_exits_3(monkeypatch):

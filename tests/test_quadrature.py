@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermtensor.hermite import PROBABILIST, _hermite_table, product_rows
+from hermtensor.hermite import PHYSICIST, PROBABILIST, _hermite_table, product_rows
 from hermtensor.mixed6 import stack_coefficients
 from hermtensor.quadrature import (
     ATOMIC_MASS,
@@ -16,6 +16,7 @@ from hermtensor.quadrature import (
     QuadratureRule,
     WeightSpec,
     _axis_table,
+    _gram,
     _grid_rows,
     expand,
     gauss_hermite_rule,
@@ -36,7 +37,7 @@ from hermtensor.symtensor import (
     perm_delta,
     scalar,
 )
-from hermtensor.transforms import ScalingMap, convergence_probe
+from hermtensor.transforms import ScalingMap, TranslationMap, convergence_probe, orthogonality_after_translation
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -199,6 +200,52 @@ def test_ortho_insufficient_order_raises():
         ortho_matrix(5, 0, gauss_hermite_rule(16))
 
 
+def exact_gram(m_rank, n_rank, convention):
+    """2**n perm_delta (physicist) or perm_delta (probabilist) on the diagonal block, zeros elsewhere."""
+    rows, cols = canonical_index_tuples(m_rank, 3), canonical_index_tuples(n_rank, 3)
+    if m_rank != n_rank:
+        return np.zeros((len(rows), len(cols)))
+    factor = 2.0**n_rank if convention is PHYSICIST else 1.0
+    return factor * np.array([[perm_delta(i, j) for j in cols] for i in rows])
+
+
+@pytest.mark.parametrize("convention", [PHYSICIST, PROBABILIST], ids=["physicist", "probabilist"])
+@pytest.mark.parametrize("order", [10, 12, 16, 20, 32])
+def test_gram_matches_row_oracle(order, convention):
+    # the row route: basis rows at every (scaled, shifted) node triple, summed against the grid weights
+    rule = gauss_hermite_rule(order)
+    top = min(4, order // 2 - 1)
+    scale = 1.0 if convention is PHYSICIST else math.sqrt(2.0)
+    rng = np.random.default_rng(order)
+    for shift in (np.zeros(3), *rng.uniform(-1.0, 1.0, (3, 3))):
+        rows = product_rows(top, scale * grid_points(rule) - shift, convention)
+        for m in range(top + 1):
+            for n in range(top + 1):
+                got = _gram(m, n, rule, convention, shift)
+                want = math.pi ** (-1.5) * np.einsum("k,ik,jk->ij", grid_weights(rule), rows[m], rows[n])
+                assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12, (m, n, shift)
+                if not shift.any():
+                    assert np.max(np.abs(got - exact_gram(m, n, convention))) <= 5e-13, (m, n)
+
+
+def test_gram_tables_and_probe_read_no_grid(monkeypatch):
+    import hermtensor.quadrature as quadrature
+    import hermtensor.transforms as transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram table or probe read the 3-D grid")
+
+    for name in ("grid_points", "grid_weights", "_grid_rows", "product_rows"):
+        monkeypatch.setattr(quadrature, name, refuse)
+        assert not hasattr(transforms, name)
+    rule = unshared_rule(12)
+    ortho_matrix(3, 2, rule)
+    ortho_matrix(3, 3, rule, PROBABILIST)
+    orthogonality_after_translation(2, 3, TranslationMap((0.0, 0.0, 0.0), (0.7, 0.2, -0.5)), rule)
+    convergence_probe(ScalingMap(1.3, (1.0, 0.0, 0.0)), rule)
+    assert rule._grid == {}
+
+
 # ---------------------------------------------------------------- expansion
 
 
@@ -350,6 +397,18 @@ def test_zero_distribution_admissible():
     result = l2_admissible(lambda z: 0.0, rule)
     assert result.admissible
     assert result.value == 0.0
+
+
+def test_admissibility_flag_does_not_depend_on_density():
+    # g is scaled by a power of two before squaring, which is exact, so only the value may overflow
+    rule = gauss_hermite_rule(8)
+    f = maxwellian((0.0, 0.0, 0.0))
+    base = l2_admissible(f, rule, vectorized=True)
+    for density in (2.0**-500, 1e150, 1e300, 1e308):
+        result = l2_admissible(lambda p: density * f(p), rule, vectorized=True)
+        assert result.admissible == base.admissible
+    assert l2_admissible(lambda p: 2.0**-500 * f(p), rule, vectorized=True).value == base.value * 2.0**-1000
+    assert l2_admissible(lambda p: 1e300 * f(p), rule, vectorized=True).value == math.inf
 
 
 # ---------------------------------------------------------------- truncation

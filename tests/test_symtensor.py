@@ -388,6 +388,21 @@ def test_outer_power_components():
     assert outer_power(v, 0)[()] == pytest.approx(1.0)
 
 
+def test_outer_power_matches_per_tuple_loop():
+    rng = np.random.default_rng(5)
+    for dim in (3, 6):
+        v = rng.standard_normal(dim)
+        for power in range(7):
+            want = []
+            for t in canonical_index_tuples(power, dim):
+                out = 1.0
+                for a in t:
+                    out = out * v[a]
+                want.append(out)
+            assert outer_power(v, power).data.tobytes() == np.array(want).tobytes(), (dim, power)
+    assert outer_power((1, 2, 3), 2).data.tobytes() == outer_power((1.0, 2.0, 3.0), 2).data.tobytes()
+
+
 def test_outer_power_inner_is_dot_power():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(3)

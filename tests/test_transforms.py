@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermtensor.hermite import hermite_phys
-from hermtensor.quadrature import gauss_hermite_rule, ortho_matrix
+from hermtensor.quadrature import gauss_hermite_rule, grid_points, grid_weights, ortho_matrix
 from hermtensor.symtensor import inner, max_component_diff
 from hermtensor.transforms import (
+    DIVERGENCE_RATIO,
     TO_AVERAGE,
     TO_CENTERED,
     ProbeResult,
@@ -102,6 +103,12 @@ def test_temperature_window_requires_ordering():
         temperature_window(100.0, 0.0)
 
 
+@pytest.mark.parametrize("T_i, T_n", [(math.inf, 1000.0), (math.inf, math.inf), (math.nan, 1000.0), (2000.0, math.nan)])
+def test_temperature_window_requires_finite_temperatures(T_i, T_n):
+    with pytest.raises(ValueError, match="finite"):
+        temperature_window(T_i, T_n)
+
+
 @given(
     T_n=st.floats(min_value=1.0, max_value=1e4),
     factor=st.floats(min_value=1.0, max_value=10.0),
@@ -159,6 +166,41 @@ def test_probe_result_fields():
     result = convergence_probe(ScalingMap(0.5), gauss_hermite_rule(8))
     assert isinstance(result, ProbeResult)
     assert result.coarse > 0 and result.fine > 0
+
+
+def grid_probe(smap, rule):
+    """The probe by the 3-D grid route: the integrand summed over every node triple, at both orders."""
+
+    def value(r):
+        points = grid_points(r)
+        with np.errstate(over="ignore"):
+            g = np.exp(np.sum(smap.apply(points) ** 2, axis=1) - np.sum(points**2, axis=1))
+            return float(np.add.reduce(grid_weights(r) * g))
+
+    coarse, fine = value(rule), value(gauss_hermite_rule(2 * rule.order))
+    divergent = not (math.isfinite(coarse) and math.isfinite(fine)) or fine > DIVERGENCE_RATIO * coarse
+    return ProbeResult("divergent" if divergent else "finite", coarse, fine)
+
+
+def test_probe_matches_grid_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        alpha, z0, order = float(rng.uniform(0.3, 2.5)), tuple(rng.uniform(-2.0, 2.0, 3)), int(rng.integers(2, 33))
+        smap, rule = ScalingMap(alpha, z0), gauss_hermite_rule(order)
+        got, want = convergence_probe(smap, rule), grid_probe(smap, rule)
+        assert got.classification == want.classification, (alpha, z0, order)
+        tolerance = 1e-14 if want.classification == "finite" else 1e-12
+        for a, b in ((got.coarse, want.coarse), (got.fine, want.fine)):
+            if math.isfinite(b):
+                assert abs(a - b) <= tolerance * abs(b), (alpha, z0, order)
+
+
+def test_probe_stays_finite_where_the_grid_sum_overflows():
+    smap, rule = ScalingMap(2.1, (-1.3, -0.4, -2.0)), gauss_hermite_rule(16)
+    assert grid_probe(smap, rule).fine == math.inf
+    result = convergence_probe(smap, rule)
+    assert result.classification == "divergent"
+    assert math.isfinite(result.fine) and result.fine > 1e271
 
 
 # --- translation ----------------------------------------------------------

@@ -27,7 +27,6 @@ from .mixed6 import (
 from .quadrature import (
     ATOMIC_MASS,
     ExpansionCoefficients,
-    NonFiniteIntegrandError,
     WeightSpec,
     _require_order,
     _require_rank,
@@ -193,6 +192,8 @@ def cmd_expand(args) -> tuple[dict, int]:
     # f0 absorbs the Gaussian normalization so a pure Maxwellian reads a0 = 1
     f0 = args.density * math.pi ** (-1.5)
     coeffs = expand(spec.weight_z, args.max_rank, rule, f0=f0, vectorized=True)
+    if not all(np.isfinite(t.data).all() for t in coeffs.coeffs):
+        raise ArithmeticError("an expansion coefficient is not finite")
     ranks = []
     for n in range(args.max_rank + 1):
         tensor = coeffs[n]
@@ -415,7 +416,7 @@ def main(argv=None, stdout=None) -> int:
         return int(exc.code or 0)
     try:
         report, code = _COMMANDS[args.command](args)
-    except NonFiniteIntegrandError as exc:
+    except ArithmeticError as exc:  # NonFiniteIntegrandError included
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -11,7 +11,8 @@ family (Grad's He) uses seeds He0 = 1, He1 = z and the factor n in place of
 
 The recursion (the paper's definition) serves points and exact PolyScalar
 tables; rows on many points come from the product factorization H_n,i(z) =
-prod_a h_{m_a}(z_a).  Each route is the other's test oracle.
+prod_a h_{m_a}(z_a), and its 1-D tables alone serve the axis-by-axis sums
+of the quadrature module.  Each route is the other's test oracle.
 """
 from __future__ import annotations
 
@@ -242,10 +243,12 @@ def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:
     if max_n < 0:
         raise ValueError("order must be non-negative")
     x = np.asarray(x, dtype=np.float64)
-    table = [np.ones_like(x), factor * x]
-    for k in range(1, max_n):
-        table.append(factor * x * table[k] - factor * k * table[k - 1])
-    return np.stack(table[: max_n + 1])
+    table = np.empty((max_n + 1, *x.shape))
+    table[0], table[1:2] = 1.0, factor * x
+    for k in range(1, max_n):  # (factor x) h_k - (factor k) h_{k-1} in place; [k + 1, ...] is a view even for a scalar x
+        np.multiply(table[1], table[k], out=table[k + 1, ...])
+        table[k + 1, ...] -= factor * k * table[k - 1]
+    return table
 
 
 def hermite_1d(n: int, x):

@@ -1,17 +1,17 @@
 """Gauss-Hermite quadrature and Hermite-series expansion of distributions.
 
 Integrals are taken against the weight exp(-x**2) on each axis, tensorized
-over three dimensions.  On that grid each basis function factors into 1-D
-polynomials, H_n,i(z) = prod_a h_{m_a}(z_a), so projection runs axis by
-axis: three small contractions of the weighted sample against one 1-D table
-of h_0..h_N at the nodes give every moment, and each coefficient is a
-gather from that moment cube; each Gram entry is a product of three 1-D
-sums.  The full basis rows on the node grid, from the product-form kernel
-of the hermite module, serve truncation errors only.  The grid (node
-triples, weights, the factor exp(+z.z)), the 1-D table and the basis rows
-depend only on the rule, so each rule instance builds them once, on first
-use, and keeps them read-only.  The node triples are stored axis-major, so
-a sum over a point's coordinates is three contiguous vector adds.
+over three dimensions.  Each basis function factors into 1-D polynomials,
+H_n,i(z) = prod_a h_{m_a}(z_a), so the work runs axis by axis against 1-D
+tables of h_0..h_N: projection contracts the weighted sample with the table
+at the nodes into a moment cube and gathers each coefficient from it; each
+Gram entry is a product of three 1-D sums; a series, in 3 or 6 dimensions,
+is summed one axis at a time at its points.  The full basis rows on the
+node grid serve truncation errors only.  The grid (node triples, weights,
+the factor exp(+z.z)), the 1-D table and the basis rows depend only on the
+rule, so each rule builds them once, on first use, and keeps them read-only.
+The node triples are stored axis-major, so a sum over a point's coordinates
+is three contiguous vector adds.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import PHYSICIST, _hermite_table, product_rows
-from .symtensor import SymTensor, _axis_counts, multiplicity_vector
+from .symtensor import SymTensor, _axis_counts, _frozen, multiplicity_vector
 
 __all__ = [
     "AdmissibilityResult",
@@ -243,18 +243,19 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
     either way.  The probe requires order <= 32 so the doubled rule exists.
     """
     fine_rule = _doubled_rule(rule)
-    return _admissibility(_sample(f, rule, vectorized), _sample(f, fine_rule, vectorized))
+    return _admissibility(_sample(f, rule, vectorized), _sample(f, fine_rule, vectorized))[0]
 
 
-def _admissibility(coarse_sample, fine_sample) -> AdmissibilityResult:
+def _admissibility(coarse_sample, fine_sample) -> tuple[AdmissibilityResult, float]:
+    """The probe's result, and the power of two at or below max |g| that it divides g by (1.0 if none is safe)."""
     samples = (coarse_sample, fine_sample)
     # exact scaling by a power of two near 1 / max |g|, so a constant factor of f (the density) cannot overflow g**2
     peak = max(float(np.max(np.abs(g))) for *_, g in samples)
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
-    with np.errstate(over="ignore"):
-        coarse, fine = (_grid_sum(w, np.square(g * (1.0 / unit))) for _, w, _, g in samples)
+    with np.errstate(over="ignore"):  # each scaled g is squared in place
+        coarse, fine = (_grid_sum(w, np.square(s := g * (1.0 / unit), out=s)) for _, w, _, g in samples)
     stable = math.isfinite(coarse) and math.isfinite(fine) and abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine))
-    return AdmissibilityResult(stable, fine * unit * unit)
+    return AdmissibilityResult(stable, fine * unit * unit), unit
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,15 @@ def _moments(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table @ (first @ table.T).reshape(top, order, top)  # [a, j, c], then b from j
 
 
+@lru_cache(maxsize=None)
+def _coefficient_plan(max_rank: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only (moment-cube index, 2**m m!, rank bounds) over the 3-D components of ranks 0..max_rank."""
+    counts = [_axis_counts(m, 3) for m in range(max_rank + 1)]
+    index = np.ravel_multi_index(tuple(np.concatenate(counts).T), (max_rank + 1,) * 3)
+    norms = np.concatenate([np.full(len(c), 2.0**m * math.factorial(m)) for m, c in enumerate(counts)])
+    return _frozen(index), _frozen(norms), tuple(np.cumsum([0] + [len(c) for c in counts]).tolist())
+
+
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
     """Probe, then project f: (coefficients, the rule's sample)."""
     if f0 == 0.0 or not math.isfinite(f0):
@@ -312,41 +322,75 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     _require_order(rule, max_rank)
     fine_rule = _doubled_rule(rule)
     sample = _sample(f, rule, vectorized)
-    check = _admissibility(sample, _sample(f, fine_rule, vectorized))
+    check, unit = _admissibility(sample, _sample(f, fine_rule, vectorized))
     if not check.admissible:
         # attributed to the caller of expand or truncation_error
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
     points, weights, values, g = sample
     _require_finite(values, points)
-    # H_m,i on the tensor grid is the product of 1-D h_{count of axis a in i}, so its integral is a moment
-    moments = _moments(weights * g, _axis_table(rule, max_rank))
-    coeffs = []
-    for m in range(max_rank + 1):
-        integrals = math.pi ** (-1.5) * moments[tuple(_axis_counts(m, 3).T)]
-        coeffs.append(SymTensor(3, m, integrals / (2.0**m * math.factorial(m) * f0)))
-    return ExpansionCoefficients(max_rank, tuple(coeffs), f0, check.admissible), sample
+    # H_m,i on the tensor grid is the product of 1-D h_{count of axis a in i}, so its integral is a moment;
+    # g scaled by the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
+    moments = _moments(weights * (g * (1.0 / unit)), _axis_table(rule, max_rank))
+    index, norms, bounds = _coefficient_plan(max_rank)
+    with np.errstate(over="ignore"):  # an overflowing divisor is a silent inf, as in Python float arithmetic
+        divisors = norms * (f0 / unit)
+    data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / divisors)
+    coeffs = tuple(SymTensor(3, m, data[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+    return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), sample
 
 
-def _partial_sums(tensors, rows):
-    """sum over n <= N of inner(a_n, H_n) at each point, for N = 0, 1, ...; one array, updated in place."""
-    total = np.zeros(rows[0].shape[1])
-    for n, row in enumerate(rows):
-        total += (multiplicity_vector(n, tensors[n].dim) * tensors[n].data) @ row
-        yield total
+@lru_cache(maxsize=None)
+def _series_plan(top: int, dim: int):
+    """Read-only plan of a rank-0..top series over dim axes: (matrix shape, scatter, multiplicities, folds).
+
+    Scatter puts each component, count vector c, at row "prefix c[:-1]" (in first-fold order) and column
+    c[-1] of the coefficient matrix.  The fold over axis a is (a, c_a per row, (start, length) per block,
+    the output rows the next fold reads).  Its rows are the prefixes c[:a+1] in blocks by c_a; block j
+    holds the c[:a] with sum <= top - j in output order, lowest sum first, so it adds onto the leading rows.
+    """
+    order, rows, folds = [()], [], []
+    for axis in range(dim - 1):
+        gather = _frozen(np.array([order.index(r) for r in rows])) if rows else None
+        rows = [q + (j,) for j in range(top + 1) for q in order if sum(q) + j <= top]
+        last = [r[-1] for r in rows]
+        blocks = tuple((last.index(j), last.count(j)) for j in range(top + 1))
+        folds.insert(0, (axis, _frozen(np.array(last)), blocks, gather))
+        order = sorted(rows, key=sum)
+    counts = np.concatenate([_axis_counts(n, dim) for n in range(top + 1)]).tolist()
+    scatter = np.array([rows.index(tuple(c[:-1])) * (top + 1) + c[-1] for c in counts])
+    multiplicities = np.concatenate([multiplicity_vector(n, dim) for n in range(top + 1)])
+    return (len(rows), top + 1), _frozen(scatter), _frozen(multiplicities), tuple(folds)
 
 
 def _series(tensors, f0: float, z, dim: int):
-    """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for dim-D tensors a_0..a_N, at one point (a float) or a (K, dim) batch."""
+    """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for dim-D tensors a_0..a_N, at one point (a float) or a (K, dim) batch.
+
+    Summed over h_0..h_N at the coordinates, a matmul for the last axis and a fold for each other axis:
+    no basis row is built, and no intermediate outgrows (components, K).
+    """
     pts = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if pts.shape[1] != dim:
         raise ValueError(f"points must be {dim}-vectors")
-    *_, series = _partial_sums(tensors, product_rows(len(tensors) - 1, pts, PHYSICIST))
-    out = f0 * np.exp(-np.sum(pts**2, axis=1)) * series
+    if any(t.dim != dim or t.rank != n for n, t in enumerate(tensors)):
+        raise ValueError(f"series terms must be {dim}-D tensors of ranks 0, 1, 2, ... in order")
+    shape, scatter, multiplicities, folds = _series_plan(len(tensors) - 1, dim)
+    coords = np.ascontiguousarray(pts.T)  # axis-major: z.z is d contiguous vector adds, left to right as per point
+    table = _hermite_table(shape[1] - 1, coords)
+    matrix = np.zeros(shape)
+    matrix.flat[scatter] = multiplicities * np.concatenate([t.data for t in tensors])
+    partial = matrix @ table[:, dim - 1]
+    for axis, counts, ((_, width), *blocks), gather in folds:
+        partial *= table[counts, axis]
+        out = partial[:width]
+        for lo, size in blocks:
+            out[:size] += partial[lo : lo + size]
+        partial = out if gather is None else out[gather]
+    out = f0 * np.exp(-np.sum(coords**2, axis=0)) * partial[0]
     return float(out[0]) if np.ndim(z) == 1 else out
 
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
-    """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one point or a batch."""
+    """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one point or a batch, axis by axis."""
     return _series(coeffs.coeffs, coeffs.f0, z, 3)
 
 
@@ -358,11 +402,14 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     increase as ranks are added.
     """
     coeffs, (_, weights, _, g) = _project(f, max_rank, rule, f0, vectorized)
-    rows = _grid_rows(rule, max_rank)
     errors = np.empty(max_rank + 1)
-    for top, partial in enumerate(_partial_sums(coeffs.coeffs, rows)):
-        residual = g - f0 * partial
-        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * _grid_sum(weights, residual * residual)))
+    partial, residual = np.zeros_like(g), np.empty_like(g)
+    for top, row in enumerate(_grid_rows(rule, max_rank)):
+        partial += (multiplicity_vector(top, 3) * coeffs[top].data) @ row
+        # w (g - f0 partial)**2 in one buffer: the operations of _grid_sum on the same operands
+        np.square(np.subtract(g, np.multiply(partial, f0, out=residual), out=residual), out=residual)
+        total = np.add.reduce(np.multiply(weights, residual, out=residual))
+        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(total)))
     return errors
 
 

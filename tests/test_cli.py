@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -226,6 +228,31 @@ def test_expand_at_largest_density_is_admissible(recwarn):
     assert code == 0 and report["admissible"] is True
     assert report["coefficients"][0]["components"][0]["value"] == pytest.approx(1.0, rel=1e-12)
     assert not recwarn.list
+
+
+def test_expand_near_largest_float_density_is_finite(recwarn):
+    code, report = invoke_json([*EXPAND, "--density", "1.7e308"])
+    values = [c["value"] for rank in report["coefficients"] for c in rank["components"]]
+    assert code == 0 and report["admissible"] is True
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+    assert values[0] == pytest.approx(1.0, rel=1e-12)
+    assert not recwarn.list
+
+
+def test_expand_coefficients_exact_under_power_of_two_density():
+    # the density only scales f and f0; the moment scaling is exact, so not one bit may move
+    argv = [*EXPAND, "--drift=100,0,0", "--max-rank", "4", "--density"]
+    want = invoke_json([*argv, "1"])[1]["coefficients"]
+    for density in (2.0**-900, 2.0**1020):
+        assert invoke_json([*argv, repr(density)])[1]["coefficients"] == want
+
+
+def test_non_finite_coefficient_exits_3(capsys):
+    # g = f exp(+z.z) overflows at the outer nodes for this density and drift, so moments are nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert invoke([*EXPAND, "--density", "1.7e308", "--drift=1000,0,0"]) == (3, "")
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_numeric_error_exits_3(monkeypatch):

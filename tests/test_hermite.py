@@ -8,6 +8,7 @@ from hermtensor.hermite import (
     PHYSICIST,
     PROBABILIST,
     PolyScalar,
+    _hermite_table,
     convert,
     evaluate_basis,
     grad_check,
@@ -99,6 +100,26 @@ def test_hermite_1d_matches_numpy():
     for n in range(7):
         coeffs = [0.0] * n + [1.0]
         np.testing.assert_allclose(hermite_1d(n, x), np.polynomial.hermite.hermval(x, coeffs), rtol=1e-12)
+
+
+def written_out_table(max_n, x, factor):
+    """h_0..h_max_n by the recurrence h_{k+1} = factor x h_k - factor k h_{k-1}, one new array per degree."""
+    x = np.asarray(x, dtype=np.float64)
+    table = [np.ones_like(x), factor * x]
+    for k in range(1, max_n):
+        table.append(factor * x * table[k] - factor * k * table[k - 1])
+    return np.stack(table[: max_n + 1])
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.0])
+def test_hermite_table_bytes_match_written_out_recurrence(factor):
+    points = np.random.default_rng(17).uniform(-4.7, 4.7, (3, 1024))
+    points[:, 0] = (0.0, -0.0, 4.7)
+    inputs = [points, gauss_hermite_rule(16).nodes, gauss_hermite_rule(32).nodes, 0.37, -0.0]
+    for max_n in (0, 1, 2, 6, 9):
+        for x in inputs:
+            got, want = _hermite_table(max_n, x, factor), written_out_table(max_n, x, factor)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- recursion vs oracle

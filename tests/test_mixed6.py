@@ -345,6 +345,9 @@ def test_batched_frames_refuse_bad_input():
         mixed_reconstruct([], (0.0,) * 6)
     with pytest.raises(ValueError):
         mixed_reconstruct([scalar(1.0, 6)], (0.0,) * 5)
+    for alphas in ([scalar(1.0, 3), SymTensor(3, 1, np.zeros(3))], [SymTensor(6, 1, np.zeros(6))]):
+        with pytest.raises(ValueError, match="ranks 0, 1, 2"):
+            mixed_reconstruct(alphas, (0.0,) * 6)
 
 
 def test_stack_rank_overflow():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermtensor.hermite import PHYSICIST, PROBABILIST, _hermite_table, product_rows
-from hermtensor.mixed6 import stack_coefficients
+from hermtensor.mixed6 import SpeciesPair, distribution_invariance, mixed_reconstruct, stack_coefficients
 from hermtensor.quadrature import (
     ATOMIC_MASS,
     BOLTZMANN,
@@ -16,8 +16,11 @@ from hermtensor.quadrature import (
     QuadratureRule,
     WeightSpec,
     _axis_table,
+    _coefficient_plan,
     _gram,
     _grid_rows,
+    _series,
+    _series_plan,
     expand,
     gauss_hermite_rule,
     grid_points,
@@ -367,6 +370,59 @@ def test_reconstruct_single_point_matches_batch():
     batch = reconstruct(coeffs, pts)
     for k in range(2):
         assert reconstruct(coeffs, pts[k]) == pytest.approx(float(batch[k]), rel=1e-14)
+
+
+def row_series(tensors, f0, points):
+    """The series by the basis-row route: product_rows, then one matvec per rank."""
+    rows = product_rows(len(tensors) - 1, points)
+    total = sum((multiplicity_vector(n, t.dim) * t.data) @ rows[n] for n, t in enumerate(tensors))
+    return f0 * np.exp(-np.sum(points**2, axis=1)) * total
+
+
+@pytest.mark.parametrize(("dim", "top"), [(3, n) for n in range(7)] + [(6, n) for n in range(5)])
+def test_series_matches_row_oracle(dim, top):
+    rng = np.random.default_rng(10 * dim + top)
+    tensors = [SymTensor(dim, n, rng.normal(size=n_components(n, dim))) for n in range(top + 1)]
+    points = rng.uniform(-2.5, 2.5, (64, dim))
+    points[0] = 4.7 / math.sqrt(dim)  # |z| = 4.7
+    points[1] = 0.0
+    points[1, ::2] = -0.0
+    points[2] = 0.0
+    points[2, -1] = -4.7
+    want = row_series(tensors, 0.7, points)
+    got = _series(tensors, 0.7, points, dim)
+    # one bound over the batch: per component with floor 1 is not a valid bound for the 6-D series
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_series_routes_build_no_basis_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_rows called")
+
+    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
+    monkeypatch.setattr("hermtensor.quadrature.product_rows", refuse)
+    coeff_s = ExpansionCoefficients(2, (scalar(1.0, 3), SymTensor(3, 1, [0.1, 0.0, -0.2]), outer_power([0.1, 0.2, 0.0], 2)))
+    coeff_sp = ExpansionCoefficients(1, (scalar(0.5, 3), SymTensor(3, 1, [0.0, 0.3, 0.0])))
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (8, 6))
+    assert reconstruct(coeff_s, points[:, :3]).shape == (8,)
+    assert mixed_reconstruct(stack_coefficients(coeff_s, coeff_sp), points).shape == (8,)
+    assert distribution_invariance(coeff_s, coeff_sp, SpeciesPair(1.0, 4.0, 300.0), points) < 1e-12
+
+
+@pytest.mark.parametrize(("top", "dim"), [(0, 3), (6, 3), (0, 6), (4, 6)])
+def test_series_plan_is_cached_read_only_and_within_components(top, dim):
+    plan = _series_plan(top, dim)
+    assert _series_plan(top, dim) is plan
+    shape, scatter, multiplicities, folds = plan
+    components = sum(n_components(n, dim) for n in range(top + 1))
+    assert len(scatter) == len(multiplicities) == components and len(folds) == dim - 1
+    # no (top + 1)**dim cube: every intermediate holds at most one row per component
+    assert shape[0] <= components and all(len(counts) <= components for _, counts, _, _ in folds)
+    arrays = [scatter, multiplicities, *(a for _, counts, _, gather in folds for a in (counts, gather) if a is not None)]
+    arrays += list(_coefficient_plan(top)[:2])
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 # ---------------------------------------------------------------- admissibility

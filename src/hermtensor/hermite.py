@@ -10,9 +10,9 @@ family (Grad's He) uses seeds He0 = 1, He1 = z and the factor n in place of
 2n; the two are linked by He_n(z) = 2**(-n/2) H_n(z / sqrt(2)).
 
 The recursion (the paper's definition) serves points and exact PolyScalar
-tables; rows on many points come from the product factorization H_n,i(z) =
-prod_a h_{m_a}(z_a), and its 1-D tables alone serve the axis-by-axis sums
-of the quadrature module.  Each route is the other's test oracle.
+tables; ``product_rows`` builds rows on many points from the product
+factorization H_n,i(z) = prod_a h_{m_a}(z_a), whose 1-D tables alone serve
+the quadrature module.  Each route is the other's test oracle.
 """
 from __future__ import annotations
 

@@ -216,38 +216,29 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     return max(max_component_diff(a, b) for a, b in zip(at_rotated, rotated))
 
 
-def _block_product(upper: SymTensor, lower: SymTensor) -> SymTensor:
-    """sym_product of 3-D tensors placed on the upper and on the lower block, in closed form.
-
-    A sorted 6-D tuple lists its m upper labels first, so of its C(N, m) slot
-    splits only that one pairs two nonzero block entries; the others add zeros.
-    """
-    m, N = upper.rank, upper.rank + lower.rank
-    counts = _axis_counts(N, 6)
-    sel = np.flatnonzero(counts[:, :3].sum(axis=1) == m)
-    left = upper.data[_count_positions(counts[sel, :3], m, 3)]
-    right = lower.data[_count_positions(counts[sel, 3:], N - m, 3)]
-    values = np.zeros(n_components(N, 6))
-    # + 0.0: summed with the zero splits, a -0.0 product becomes +0.0 before the division
-    values[sel] = (left * right + 0.0) / math.comb(N, m)
-    return SymTensor(6, N, values)
-
-
 def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients) -> list[SymTensor]:
     """Merge two 3-D expansions into stacked 6-D coefficient tensors.
 
     Rank N collects every split n + m = N as the symmetrized product of
     the primed rank-m tensor on the upper block with the unprimed rank-n
     tensor on the lower block.  Contracting the result against the mixed
-    basis reproduces the product of the two series.
+    basis reproduces the product of the two series.  A sorted 6-D tuple
+    lists its m upper labels first, so only the split (m, N - m) reaches it.
     """
     top = coeff_s.max_rank + coeff_sp.max_rank
     _require_rank("mixed", top)
     stacked = []
     for N in range(top + 1):
-        lowest = max(0, N - coeff_sp.max_rank)
-        pieces = [_block_product(coeff_sp[N - n], coeff_s[n]) for n in range(lowest, min(N, coeff_s.max_rank) + 1)]
-        stacked.append(sum(pieces[1:], pieces[0]))
+        counts, values = _axis_counts(N, 6), np.zeros(n_components(N, 6))
+        splits = range(max(0, N - coeff_s.max_rank), min(N, coeff_sp.max_rank) + 1)
+        for m in splits:
+            sel = np.flatnonzero(counts[:, :3].sum(axis=1) == m)
+            left = coeff_sp[m].data[_count_positions(counts[sel, :3], m, 3)]
+            right = coeff_s[N - m].data[_count_positions(counts[sel, 3:], N - m, 3)]
+            values[sel] = (left * right + 0.0) / math.comb(N, m)
+        if len(splits) > 1:
+            values += 0.0  # the other splits add +0.0 here: an underflowed -0.0 reads +0.0, as in their sum
+        stacked.append(SymTensor(6, N, values))
     return stacked
 
 

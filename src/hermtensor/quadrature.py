@@ -7,11 +7,11 @@ tables of h_0..h_N: projection contracts the weighted sample with the table
 at the nodes into a moment cube and gathers each coefficient from it; each
 Gram entry is a product of three 1-D sums; a series, in 3 or 6 dimensions,
 is summed one axis at a time at its points.  The full basis rows on the
-node grid serve truncation errors only.  The grid (node triples, weights,
-the factor exp(+z.z)), the 1-D table and the basis rows depend only on the
-rule, so each rule builds them once, on first use, and keeps them read-only.
-The node triples are stored axis-major, so a sum over a point's coordinates
-is three contiguous vector adds.
+node grid, outer products of 1-D table rows, serve truncation errors only.
+The grid (node triples, weights, the factor exp(+z.z)), the 1-D tables and
+the rows depend only on the rule, so each rule builds each once, on first
+use, as one read-only array per key.  The node triples are stored
+axis-major, so a sum over a point's coordinates is three contiguous adds.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, _hermite_table, product_rows
+from .hermite import PHYSICIST, _hermite_table
 from .symtensor import SymTensor, _axis_counts, _frozen, multiplicity_vector
 
 __all__ = [
@@ -62,10 +62,10 @@ class NonFiniteIntegrandError(ArithmeticError):
 class QuadratureRule:
     """1-D Gauss-Hermite nodes and weights, tensorized on demand.
 
-    The 3-D grid, the 1-D basis table and the basis rows are built once per
-    rule instance, on first use, and are read-only; a rule built by hand
-    with other nodes gets a grid of its own.  Rules compare and hash by
-    identity.
+    A rule keeps read-only copies of its ``order`` nodes and weights (other
+    lengths raise ``ValueError``), and builds each table on them once, on
+    first use, read-only; a hand-built rule has tables of its own.  Rules
+    compare and hash by identity.
     """
 
     order: int
@@ -74,8 +74,11 @@ class QuadratureRule:
     _grid: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        for name in ("nodes", "weights"):  # copies, so a caller's writes cannot move the nodes under the tables
+            value = _frozen(np.array(getattr(self, name), dtype=np.float64))
+            if value.shape != (self.order,):
+                raise ValueError(f"a rule of order {self.order} needs {self.order} {name}, got shape {value.shape}")
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +123,11 @@ def _doubled_rule(rule: QuadratureRule) -> QuadratureRule:
     return gauss_hermite_rule(2 * rule.order)
 
 
-def _cached(rule: QuadratureRule, key: str, build):
-    """The rule's grid entry ``key``, built on first use and read-only."""
+def _cached(rule: QuadratureRule, key, build):
+    """The rule's table ``key``, built on first use and read-only; the only access to ``rule._grid``."""
     value = rule._grid.get(key)
     if value is None:
-        value = rule._grid[key] = build()
-        value.setflags(write=False)
+        value = rule._grid[key] = _frozen(build())
     return value
 
 
@@ -141,30 +143,24 @@ def grid_weights(rule: QuadratureRule) -> np.ndarray:
     return _cached(rule, "weights", lambda: (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel())
 
 
-def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
-    """Physicist basis rows of rank 0..max_rank on the rule's grid; read-only.
-
-    The table is kept at the highest rank asked for so far; row n does not
-    depend on that top rank, so a lower rank reads a prefix of it.
-    """
-    rows = rule._grid.get("rows", ())
-    if len(rows) <= max_rank:
-        rows = rule._grid["rows"] = tuple(product_rows(max_rank, grid_points(rule), PHYSICIST))
-        for row in rows:
-            row.setflags(write=False)
-    return rows[: max_rank + 1]
-
-
 def _axis_table(rule: QuadratureRule, max_rank: int) -> np.ndarray:
-    """1-D physicist h_0..h_max_rank at the rule's nodes, shape (max_rank + 1, order); read-only.
+    """1-D physicist h_0..h_max_rank at the rule's nodes, shape (max_rank + 1, order); read-only."""
+    return _cached(rule, ("axis", max_rank), lambda: _hermite_table(max_rank, rule.nodes))
 
-    Kept at the highest rank asked for so far, as the grid rows are.
+
+def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
+    """Physicist basis rows of rank 0..max_rank on the rule's grid, one read-only (components, order**3) array per rank.
+
+    Row n is h_c0(x) h_c1(y) h_c2(z) over the node triples, c the axis counts of each component: an outer
+    product of 1-D table rows, multiplied in the order of product_rows, so bitwise its rows.
     """
-    table = rule._grid.get("axis")
-    if table is None or len(table) <= max_rank:
-        table = rule._grid["axis"] = _hermite_table(max_rank, rule.nodes)
-        table.setflags(write=False)
-    return table[: max_rank + 1]
+    h = _axis_table(rule, max_rank)
+
+    def build(n):
+        c = _axis_counts(n, 3).T
+        return (h[c[0]][:, :, None, None] * h[c[1]][:, None, :, None] * h[c[2]][:, None, None, :]).reshape(len(c[0]), -1)
+
+    return tuple(_cached(rule, ("row", n), lambda: build(n)) for n in range(max_rank + 1))
 
 
 def _sample(f, rule: QuadratureRule, vectorized: bool):

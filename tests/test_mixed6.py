@@ -385,7 +385,8 @@ def embedded_stack(coeff_s, coeff_sp):
 
 def test_stack_coefficients_closed_form_matches_embedding():
     rng = np.random.default_rng(71)
-    values = np.array([0.0, -0.0, -1.25, 0.5, -3e-5, 2.0, -7.0])
+    # subnormal and near-underflow values: a quotient that underflows to -0.0 must keep the sign the sum gives
+    values = np.array([0.0, -0.0, -1.25, 0.5, -3e-5, 2.0, -7.0, 5e-324, -5e-324, 3e-160, -3e-165])
 
     def random_coefficients(rank):
         return coefficients([SymTensor(3, n, rng.choice(values, n_components(n, 3))) for n in range(rank + 1)])

@@ -238,9 +238,10 @@ def test_gram_tables_and_probe_read_no_grid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Gram table or probe read the 3-D grid")
 
-    for name in ("grid_points", "grid_weights", "_grid_rows", "product_rows"):
+    for name in ("grid_points", "grid_weights", "_grid_rows"):
         monkeypatch.setattr(quadrature, name, refuse)
         assert not hasattr(transforms, name)
+    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
     rule = unshared_rule(12)
     ortho_matrix(3, 2, rule)
     ortho_matrix(3, 3, rule, PROBABILIST)
@@ -400,7 +401,7 @@ def test_series_routes_build_no_basis_rows(monkeypatch):
         raise AssertionError("product_rows called")
 
     monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
-    monkeypatch.setattr("hermtensor.quadrature.product_rows", refuse)
+    monkeypatch.setattr("hermtensor.quadrature._grid_rows", refuse)
     coeff_s = ExpansionCoefficients(2, (scalar(1.0, 3), SymTensor(3, 1, [0.1, 0.0, -0.2]), outer_power([0.1, 0.2, 0.0], 2)))
     coeff_sp = ExpansionCoefficients(1, (scalar(0.5, 3), SymTensor(3, 1, [0.0, 0.3, 0.0])))
     points = np.random.default_rng(5).uniform(-2.0, 2.0, (8, 6))
@@ -585,11 +586,10 @@ def test_grid_cache_matches_fresh_build():
         rows = _grid_rows(rule, rank)
         assert len(rows) == rank + 1
         assert bits(rows) == bits(product_rows(rank, grid_points(fresh)))
-    # rank 4 after rank 6 reads a prefix of the rank-6 table
+    # one array per rank, whichever top rank asked for it
     assert all(a is b for a, b in zip(_grid_rows(rule, 4), _grid_rows(rule, 6)))
     for rank in (2, 6, 4):
         assert _axis_table(rule, rank).tobytes() == _hermite_table(rank, fresh.nodes).tobytes()
-    assert _axis_table(rule, 4).base is rule._grid["axis"] and len(rule._grid["axis"]) == 7
 
 
 def test_grid_points_axis_major():
@@ -616,7 +616,7 @@ def test_grid_cache_is_read_only(vectorized):
     rule = unshared_rule(6)
     f = maxwellian((0.3, 0.0, -0.2))
     before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
-    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], rule._grid["axis"], *_grid_rows(rule, 2)]
+    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], _axis_table(rule, 2), *_grid_rows(rule, 2)]
     assert not any(a.flags.writeable for a in cached)
 
     def overwrites_points(p):
@@ -670,9 +670,56 @@ def test_expand_matches_row_oracle(max_rank):
 def test_expand_builds_no_grid_rows():
     rule = unshared_rule(16)
     expand(maxwellian((0.3, 0.0, -0.2)), 6, rule, f0=math.pi ** (-1.5), vectorized=True)
-    assert "rows" not in rule._grid and "axis" in rule._grid
+    assert [key for key in rule._grid if key[0] == "row"] == [] and ("axis", 6) in rule._grid
     truncation_error(maxwellian((0.3, 0.0, -0.2)), 2, rule, f0=math.pi ** (-1.5), vectorized=True)
-    assert len(rule._grid["rows"]) == 3
+    assert sorted(key for key in rule._grid if key[0] == "row") == [("row", n) for n in range(3)]
+
+
+def test_grid_rows_are_bitwise_the_product_rows():
+    shared = gauss_hermite_rule(16)
+    rules = [unshared_rule(order) for order in range(2, 33)] + [QuadratureRule(16, shared.nodes * 1.01, shared.weights)]
+    for rule in rules:
+        top = min(6, rule.order // 2 - 1)
+        want = product_rows(top, grid_points(rule))
+        for n in range(top + 1):
+            assert _grid_rows(rule, n)[n].tobytes() == want[n].tobytes(), (rule.order, n)
+
+
+def test_projection_and_series_run_without_product_rows(monkeypatch):
+    import hermtensor.quadrature as quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_rows called")
+
+    assert not hasattr(quadrature, "product_rows")
+    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
+    rule, f = unshared_rule(16), maxwellian((0.3, 0.0, -0.2))
+    coeffs = expand(f, 6, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert reconstruct(coeffs, grid_points(rule)[:8]).shape == (8,)
+    assert truncation_error(f, 6, rule, f0=math.pi ** (-1.5), vectorized=True).shape == (7,)
+
+
+def test_rule_refuses_an_order_its_nodes_do_not_match():
+    # four nodes called order 16 would pass the rank guard and alias silently: ortho_matrix(4, 4)[0, 0] read 1.9e-29
+    four = gauss_hermite_rule(4)
+    for nodes, weights in ((four.nodes, four.weights), (gauss_hermite_rule(16).nodes, four.weights)):
+        with pytest.raises(ValueError, match="order 16"):
+            QuadratureRule(16, nodes, weights)
+    with pytest.raises(ValueError, match="order 4"):
+        QuadratureRule(4, four.nodes.reshape(2, 2), four.weights)
+
+
+def test_rule_owns_read_only_copies_of_its_nodes_and_weights():
+    shared = gauss_hermite_rule(8)
+    owner = shared.nodes.copy()
+    rule = QuadratureRule(8, owner[:], shared.weights)
+    f = maxwellian((0.3, 0.0, -0.2))
+    before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    owner *= 1.01  # the caller's array stays writable, and writing to it does not reach the rule
+    assert rule.nodes.tobytes() == shared.nodes.tobytes()
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable and rule.weights is not shared.weights
+    after = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert bits(c.data for c in after.coeffs) == bits(c.data for c in before.coeffs)
 
 
 @pytest.mark.parametrize("f0", [0.0, math.nan, math.inf, -math.inf])

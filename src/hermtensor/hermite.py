@@ -290,10 +290,12 @@ def grad_check(rank: int, z, h: float = 1e-5) -> float:
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    if not (0 < h < math.inf):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     zs = np.asarray(z, dtype=np.float64)
     dim = len(zs)
     lower = evaluate_basis(rank - 1, zs, dim=dim)[rank - 1]
-    worst = 0.0
+    residuals = []
     for axis in range(dim):
         offset = np.zeros(dim)
         offset[axis] = h
@@ -302,5 +304,5 @@ def grad_check(rank: int, z, h: float = 1e-5) -> float:
         fd = (plus - minus) / (2.0 * h)
         e_axis = SymTensor(dim, 1, [1.0 if a == axis else 0.0 for a in range(dim)])
         rhs = (2 * rank) * sym_product(e_axis, lower)
-        worst = max(worst, max_component_diff(fd, rhs))
-    return worst
+        residuals.append(max_component_diff(fd, rhs))
+    return float(np.max(residuals))

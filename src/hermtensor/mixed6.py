@@ -89,8 +89,8 @@ class BlockRotation:
     y_prime: float
 
     def __post_init__(self):
-        if abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) > 1e-12:
-            raise ValueError("block coefficients must satisfy y**2 + y'**2 == 1")
+        if not abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) <= 1e-12:  # NaN and inf fail too
+            raise ValueError("block coefficients must be finite and satisfy y**2 + y'**2 == 1")
 
     @classmethod
     def from_pair(cls, pair: SpeciesPair) -> "BlockRotation":
@@ -213,7 +213,7 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     coords = _coords6(x)
     at_rotated = mixed_hermite(N, rot.apply(coords))
     rotated = [rotate_rank_n(rot, t) for t in mixed_hermite(N, coords)]
-    return max(max_component_diff(a, b) for a, b in zip(at_rotated, rotated))
+    return float(np.max([max_component_diff(a, b) for a, b in zip(at_rotated, rotated)]))
 
 
 def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients) -> list[SymTensor]:

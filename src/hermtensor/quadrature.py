@@ -109,6 +109,22 @@ def _require_rank(name: str, rank: int, low: int = 0) -> None:
         raise ValueError(f"{name} supports ranks {low}..{top}, got {rank}")
 
 
+def _require_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+
+
+def _finite_vector3(name: str, value) -> tuple[float, float, float]:
+    """``value`` as a tuple of three finite floats; anything else raises ValueError."""
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.shape != (3,) or not np.all(np.isfinite(vector)):
+        raise ValueError(f"{name} must be a finite 3-vector, got {value!r}")
+    return tuple(float(c) for c in vector)
+
+
 def _require_order(rule: QuadratureRule, rank: int) -> None:
     """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
     if rank < 0:
@@ -365,8 +381,8 @@ def _series(tensors, f0: float, z, dim: int):
     no basis row is built, and no intermediate outgrows (components, K).
     """
     pts = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if pts.shape[1] != dim:
-        raise ValueError(f"points must be {dim}-vectors")
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points must be one {dim}-vector or a (K, {dim}) array, got shape {np.shape(z)}")
     if any(t.dim != dim or t.rank != n for n, t in enumerate(tensors)):
         raise ValueError(f"series terms must be {dim}-D tensors of ranks 0, 1, 2, ... in order")
     shape, scatter, multiplicities, folds = _series_plan(len(tensors) - 1, dim)
@@ -426,9 +442,7 @@ class WeightSpec:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.density, self.mass, self.temperature)):
             raise ValueError("density, mass and temperature must be finite and positive")
-        object.__setattr__(self, "v_av", tuple(float(c) for c in self.v_av))
-        if not all(math.isfinite(c) for c in self.v_av):
-            raise ValueError(f"v_av must be finite, got {self.v_av}")
+        object.__setattr__(self, "v_av", _finite_vector3("v_av", self.v_av))
 
     @property
     def thermal_speed(self) -> float:

@@ -6,8 +6,8 @@ exactly those canonical components, ordered lexicographically by sorted index
 tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 
 The module owns the label-count table of canonical storage (how often each
-axis appears in each tuple); symmetrized products read a split plan built
-once per rank pair from those tables.
+axis appears in each tuple); a symmetrized product is one unbuffered
+scatter-add over a flat split plan built once per rank pair from them.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -183,7 +183,7 @@ class SymTensor:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymTensor":
-        """Read the canonical components out of a dense array.
+        """Read the canonical components out of a dense array in one gather.
 
         Only the canonical entries are consulted; the caller is responsible
         for the array actually being symmetric.
@@ -195,7 +195,7 @@ class SymTensor:
             raise ValueError("dense array must be hypercubic")
         if rank == 0:
             return cls(dim, 0, [float(dense)])
-        return cls(dim, rank, [dense[t] for t in canonical_index_tuples(rank, dim)])
+        return cls(dim, rank, dense[tuple(_index_columns(rank, dim))])
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense ``(dim,)*rank`` float array."""
@@ -290,14 +290,14 @@ def _count_positions(counts: np.ndarray, rank: int, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _split_plan(p: int, q: int, dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Layers (out, left, right, count) of read-only arrays for rank-p times rank-q products.
+def _split_plan(p: int, q: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat plan (out, left, right, count) of read-only arrays for rank-p times rank-q products.
 
     An output tuple I with label counts c splits into a rank-p sub-multiset
     L <= c and the rank-q rest I - L in prod_a C(c_a, L_a) of its C(p+q, p)
-    position splits.  Layer k lists the k-th L, in canonical order, of every
-    output that has one: its output position, the storage position of L and
-    of I - L, and that split count.
+    position splits.  Entry k is one split, output-major (``out`` never
+    decreases) and in canonical order of L within an output: its output
+    position, the storage positions of L and of I - L, and that split count.
     """
     full = _axis_counts(p + q, dim)
     sub = _axis_counts(p, dim)
@@ -306,25 +306,23 @@ def _split_plan(p: int, q: int, dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
     right = _count_positions(c - ell, q, dim)
     binom = np.array([[math.comb(n, k) for k in range(p + q + 1)] for n in range(p + q + 1)], dtype=np.intp)
     count = np.prod(binom[c, ell], axis=1)
-    # np.nonzero runs output-major, so each output's splits are contiguous and in canonical order
-    layer = np.arange(len(out)) - np.searchsorted(out, out)
-    return tuple(tuple(_frozen(arr[layer == k]) for arr in (out, left, right, count)) for k in range(layer.max() + 1))
+    return _frozen(out), _frozen(left), _frozen(right), _frozen(count)
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     """Normalized symmetrized product: symmetrization of a (x) b divided by (p+q)!.
 
-    Each output sums count * A[L] * B[I - L] over its split plan, starting from
-    zero and in canonical order of L, then divides by C(p+q, p).  Float and
-    exact (object) components follow the same loop.
+    One unbuffered scatter-add (np.add.at) over a flat plan sums count *
+    A[L] * B[I - L] into each output from zero, term by term in canonical
+    order of L, then divides by C(p+q, p); float and exact alike.
     """
     if a.dim != b.dim:
         raise ValueError("dim mismatch")
     p, q = a.rank, b.rank
     x, y = a.data, b.data
+    out, left, right, count = _split_plan(p, q, a.dim)
     acc = np.zeros(n_components(p + q, a.dim), dtype=np.result_type(x, y, np.float64))
-    for out, left, right, count in _split_plan(p, q, a.dim):
-        acc[out] += count * (x[left] * y[right])
+    np.add.at(acc, out, count * (x[left] * y[right]))
     return SymTensor(a.dim, p + q, acc / math.comb(p + q, p))
 
 

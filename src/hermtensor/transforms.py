@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _gram, _grid_sum, _require_rank
+from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _grid_sum, _require_alpha, _require_rank
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -50,9 +50,8 @@ class ScalingMap:
     z0: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
-        object.__setattr__(self, "z0", tuple(float(c) for c in self.z0))
+        _require_alpha(self.alpha)
+        object.__setattr__(self, "z0", _finite_vector3("z0", self.z0))
 
     def apply(self, z) -> np.ndarray:
         return self.alpha * (np.asarray(z, dtype=np.float64) - np.asarray(self.z0))
@@ -66,12 +65,8 @@ class TranslationMap:
     za: tuple[float, float, float]
 
     def __post_init__(self):
-        z00 = tuple(float(c) for c in self.z00)
-        za = tuple(float(c) for c in self.za)
-        if not all(math.isfinite(c) for c in z00 + za):
-            raise ValueError("frame centers must be finite")
-        object.__setattr__(self, "z00", z00)
-        object.__setattr__(self, "za", za)
+        object.__setattr__(self, "z00", _finite_vector3("z00", self.z00))
+        object.__setattr__(self, "za", _finite_vector3("za", self.za))
 
     @property
     def shift(self) -> np.ndarray:
@@ -81,15 +76,14 @@ class TranslationMap:
 
 def scaling_admissible(alpha: float) -> bool:
     """Strict convergence criterion alpha**2 < 2 for the scaled expansion."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
+    _require_alpha(alpha)
     return alpha * alpha < 2.0
 
 
 def alpha_from_temperatures(T: float, T_s: float) -> float:
     """Scaling factor sqrt(T / T_s) between a distribution at T and a basis at T_s."""
-    if T <= 0 or T_s <= 0:
-        raise ValueError("temperatures must be positive")
+    if not (0 < T < math.inf and 0 < T_s < math.inf):
+        raise ValueError("temperatures must be positive and finite")
     return math.sqrt(T / T_s)
 
 
@@ -189,7 +183,7 @@ def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
     back = [
         assemble_translation(translate_basis(k, tmap, TO_AVERAGE), forward) for k in range(rank + 1)
     ]
-    return max(max_component_diff(back[k], original[k]) for k in range(rank + 1))
+    return float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))
 
 
 def orthogonality_after_translation(n_rank: int, m_rank: int, tmap: TranslationMap, rule: QuadratureRule) -> np.ndarray:

@@ -284,6 +284,17 @@ def test_grad_check_rejects_rank_zero():
         grad_check(0, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("h", [math.nan, 0.0, -1e-5, math.inf])
+def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="step"):
+        grad_check(2, (0.3, -0.1, 0.5), h=h)
+
+
+def test_grad_check_reports_nan_at_a_nan_point():
+    # a NaN after a finite first residual must not be dropped by the reduction
+    assert math.isnan(grad_check(2, (0.3, math.nan, 0.5)))
+
+
 # ---------------------------------------------------------------- PolyScalar
 
 

@@ -107,6 +107,12 @@ def test_block_rotation_rejects_off_circle():
         BlockRotation(0.5, 0.5)
 
 
+@pytest.mark.parametrize("y, y_prime", [(math.nan, 0.8), (0.6, math.nan), (math.inf, 0.0), (0.0, -math.inf)])
+def test_block_rotation_refuses_non_finite(y, y_prime):
+    with pytest.raises(ValueError, match="finite"):
+        BlockRotation(y, y_prime)
+
+
 def test_rotation_preserves_norm():
     rng = np.random.default_rng(3)
     rot = BlockRotation.from_pair(pair_with_ratio(4.0))
@@ -290,6 +296,16 @@ def test_equivariance_high_rank(ratio):
         x = rng.uniform(-2.0, 2.0, 6)
         assert equivariance_residual(3, x, pair) < 1e-10
     assert equivariance_residual(4, rng.uniform(-1.5, 1.5, 6), pair) < 1e-10
+
+
+def test_equivariance_residual_is_nan_at_a_nan_point():
+    assert math.isnan(equivariance_residual(2, [math.nan] * 6, pair_with_ratio(4.0)))
+
+
+def test_mixed_reconstruct_refuses_points_of_the_wrong_shape():
+    alphas = [SymTensor(6, n, np.ones(n_components(n, 6))) for n in range(3)]
+    with pytest.raises(ValueError, match="6-vector"):
+        mixed_reconstruct(alphas, np.zeros((2, 6, 1)))
 
 
 # --- stacked coefficients and distribution invariance ---------------------

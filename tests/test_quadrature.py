@@ -373,6 +373,13 @@ def test_reconstruct_single_point_matches_batch():
         assert reconstruct(coeffs, pts[k]) == pytest.approx(float(batch[k]), rel=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 1), (1, 1, 3), (2, 2), (), (4,)], ids=str)
+def test_reconstruct_refuses_points_of_the_wrong_shape(shape):
+    coeffs = ExpansionCoefficients(1, (scalar(0.8, 3), SymTensor(3, 1, [0.1, -0.2, 0.3])))
+    with pytest.raises(ValueError, match="3-vector"):
+        reconstruct(coeffs, np.zeros(shape))
+
+
 def row_series(tensors, f0, points):
     """The series by the basis-row route: product_rows, then one matvec per rank."""
     rows = product_rows(len(tensors) - 1, points)
@@ -803,3 +810,9 @@ NON_FINITE = (math.inf, math.nan, -math.inf)
 def test_weight_spec_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         WeightSpec(**{"density": 1.0, "mass": 28 * ATOMIC_MASS, "temperature": 300.0, **bad})
+
+
+@pytest.mark.parametrize("v_av", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ((0.0, 0.0, 0.0),), 0.0], ids=repr)
+def test_weight_spec_refuses_a_drift_that_is_not_a_3_vector(v_av):
+    with pytest.raises(ValueError, match="3-vector"):
+        WeightSpec(density=1.0, mass=28 * ATOMIC_MASS, temperature=300.0, v_av=v_av)

@@ -152,6 +152,18 @@ def test_dense_roundtrip():
 
 
 @pytest.mark.parametrize("dim", [3, 6])
+@pytest.mark.parametrize("rank", range(5))
+def test_from_dense_is_bitwise_the_tensor(rank, dim):
+    rng = np.random.default_rng(rank + 10 * dim)
+    n = n_components(rank, dim)
+    specials = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308], n)
+    t = SymTensor(dim, rank, np.where(rng.random(n) < 0.3, specials, rng.standard_normal(n)))
+    back = SymTensor.from_dense(t.to_dense())
+    assert back.rank == rank and (back.dim == dim or rank == 0)  # a rank-0 array carries no dimension
+    assert back.data.dtype == np.float64 and back.data.tobytes() == t.data.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 6])
 @pytest.mark.parametrize("rank", range(6))
 def test_to_dense_matches_permutation_fill(rank, dim):
     rng = np.random.default_rng(rank)
@@ -288,12 +300,13 @@ def test_sym_product_matches_grouped_enumeration():
             with np.errstate(over="ignore", invalid="ignore"):
                 assert_same_bits(sym_product(a, b).data, grouped_sym_product(a, b).data)
 
+        plan = _split_plan(p, q, dim)
+        assert len(plan) == 4 and not any(arr.flags.writeable for arr in plan)
+        out, _, _, count = plan
         total = np.zeros(n_components(p + q, dim), dtype=np.intp)
-        for layer in _split_plan(p, q, dim):
-            assert not any(arr.flags.writeable for arr in layer)
-            out, _, _, count = layer
-            total[out] += count
+        np.add.at(total, out, count)
         assert np.all(total == math.comb(p + q, p))  # Vandermonde: every position split counted once
+        assert np.all(np.diff(out) >= 0)  # output-major: each output sums its terms in canonical order of L
 
 
 # ---------------------------------------------------------------- perm_delta

@@ -63,6 +63,17 @@ def test_translation_map_rejects_nonfinite():
         TranslationMap((0.0, 0.0, math.nan), (0.0, 0.0, 0.0))
 
 
+NOT_FINITE_3_VECTORS = [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ((0.0, 0.0, 0.0),), 1.0, "abc", (0.0, math.nan, 0.0), (-math.inf, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_3_VECTORS, ids=repr)
+def test_maps_refuse_centers_that_are_not_finite_3_vectors(bad):
+    origin = (0.0, 0.0, 0.0)
+    for build in (lambda v: TranslationMap(v, origin), lambda v: TranslationMap(origin, v), lambda v: ScalingMap(1.0, v)):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            build(bad)
+
+
 # --- scaling criterion and temperature window -----------------------------
 
 
@@ -83,6 +94,12 @@ def test_alpha_from_temperatures():
     assert alpha_from_temperatures(400.0, 100.0) == 2.0
     with pytest.raises(ValueError):
         alpha_from_temperatures(-1.0, 10.0)
+
+
+@pytest.mark.parametrize("T, T_s", [(math.nan, 300.0), (300.0, math.nan), (math.inf, 300.0), (300.0, math.inf)])
+def test_alpha_from_temperatures_refuses_non_finite(T, T_s):
+    with pytest.raises(ValueError, match="finite"):
+        alpha_from_temperatures(T, T_s)
 
 
 def test_temperature_window_values():
@@ -260,6 +277,11 @@ def test_translation_roundtrip_residual():
     assert translation_roundtrip(5, tmap, np.array([0.3, -1.2, 0.8])) < 1e-9
     with pytest.raises(ValueError):
         translation_roundtrip(6, tmap, np.zeros(3))
+
+
+def test_translation_roundtrip_is_nan_at_a_nan_point():
+    tmap = TranslationMap((0.2, -0.4, 0.7), (-1.1, 0.5, 0.3))
+    assert math.isnan(translation_roundtrip(3, tmap, [math.nan, 0.0, 0.0]))
 
 
 @given(

@@ -242,7 +242,7 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
         for m in range(args.max_rank + 1):
             for n in range(args.max_rank + 1):
                 gram = ortho_matrix(m, n, rule, convention)
-                worst = max(worst, float(np.max(np.abs(gram - _expected_gram(m, n, convention)))))
+                worst = np.maximum(worst, np.max(np.abs(gram - _expected_gram(m, n, convention))))
         rows.append(_check(f"{name}-orthogonality", worst, 1e-8))
     config = {"max_rank": args.max_rank, "quad_order": args.quad_order}
     return config, rows
@@ -259,10 +259,10 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
         direct = hermite_phys(args.max_rank, z - np.asarray(tmap.z00)).values
         for rank in range(args.max_rank + 1):
             got = translated_hermite(rank, tmap, TO_CENTERED, z)
-            scale_ = max(1.0, max(abs(v) for v in direct[rank].data))
-            diff = max(abs(a - b) for a, b in zip(got.data, direct[rank].data))
-            identity_worst = max(identity_worst, diff / scale_)
-        roundtrip_worst = max(roundtrip_worst, translation_roundtrip(args.max_rank, tmap, z))
+            scale_ = np.maximum(1.0, np.max(np.abs(direct[rank].data)))
+            diff = np.max(np.abs(got.data - direct[rank].data))
+            identity_worst = np.maximum(identity_worst, diff / scale_)
+        roundtrip_worst = np.maximum(roundtrip_worst, translation_roundtrip(args.max_rank, tmap, z))
     unit = TranslationMap((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     rule = gauss_hermite_rule(args.quad_order)
     broken = 0.0
@@ -270,7 +270,7 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
         for m in range(4):
             if n != m:
                 gram = orthogonality_after_translation(n, m, unit, rule)
-                broken = max(broken, float(np.max(np.abs(gram))))
+                broken = np.maximum(broken, np.max(np.abs(gram)))
     rows = [
         _check("binomial-identity", identity_worst, 1e-10),
         _check("roundtrip", roundtrip_worst, 1e-9),
@@ -305,8 +305,8 @@ def _suite_rotate(args) -> tuple[dict, list[dict]]:
     rng = np.random.default_rng(args.seed)
     circle = abs(rot.y**2 + rot.y_prime**2 - 1.0)
     involution = float(np.max(np.abs(rot.matrix @ rot.matrix - np.eye(6))))
-    equivariance = max(
-        equivariance_residual(args.max_rank, rng.uniform(-2.0, 2.0, 6), pair) for _ in range(args.points)
+    equivariance = np.max(
+        [equivariance_residual(args.max_rank, rng.uniform(-2.0, 2.0, 6), pair) for _ in range(args.points)]
     )
     coeff_s = ExpansionCoefficients(1, (scalar(1.0, 3), SymTensor(3, 1, [0.1, 0.0, 0.0])))
     coeff_sp = ExpansionCoefficients(0, (scalar(1.0, 3),))

@@ -6,12 +6,14 @@ H_n,i(z) = prod_a h_{m_a}(z_a), so the work runs axis by axis against 1-D
 tables of h_0..h_N: projection contracts the weighted sample with the table
 at the nodes into a moment cube and gathers each coefficient from it; each
 Gram entry is a product of three 1-D sums; a series, in 3 or 6 dimensions,
-is summed one axis at a time at its points.  The full basis rows on the
-node grid, outer products of 1-D table rows, serve truncation errors only.
-The grid (node triples, weights, the factor exp(+z.z)), the 1-D tables and
-the rows depend only on the rule, so each rule builds each once, on first
-use, as one read-only array per key.  The node triples are stored
-axis-major, so a sum over a point's coordinates is three contiguous adds.
+is summed one axis at a time at its points; the weighted-L2 probe sums
+w exp(2 z.z) f**2 against the 1-D table w exp(2 x**2), so g = f exp(+z.z)
+is formed on the projection's grid only.  The full basis rows on the node
+grid, outer products of 1-D table rows, serve truncation errors only.  The
+grid (node triples, weights, the factor exp(+z.z)), the 1-D tables and the
+rows depend only on the rule, so each rule builds each once, on first use,
+as one read-only array per key.  The node triples are stored axis-major,
+so a sum over a point's coordinates is three contiguous adds.
 """
 from __future__ import annotations
 
@@ -179,18 +181,15 @@ def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
     return tuple(_cached(rule, ("row", n), lambda: build(n)) for n in range(max_rank + 1))
 
 
-def _sample(f, rule: QuadratureRule, vectorized: bool):
-    """Evaluate f once on the rule's node grid: (points, weights, values, g = f exp(+z.z))."""
+def _sample(f, rule: QuadratureRule, vectorized: bool) -> np.ndarray:
+    """Evaluate f once on the rule's node grid: its values, in grid_points order."""
     points = grid_points(rule)
     if vectorized:
         values = np.asarray(f(points), dtype=np.float64)
         if values.shape != (len(points),):
             raise ValueError("vectorized integrand must return one value per point")
-    else:
-        values = np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
-    with np.errstate(over="ignore"):
-        g = values * _cached(rule, "gauss", lambda: np.exp(np.sum(points**2, axis=1)))
-    return points, grid_weights(rule), values, g
+        return values
+    return np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
 
 
 def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -206,9 +205,9 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     default ``f`` is called once per node triple; pass ``vectorized=True``
     for a callable that maps an (K, 3) array to K values.
     """
-    points, weights, values, _ = _sample(f, rule, vectorized)
-    _require_finite(values, points)
-    return _grid_sum(weights, values)
+    values = _sample(f, rule, vectorized)
+    _require_finite(values, grid_points(rule))
+    return _grid_sum(grid_weights(rule), values)
 
 
 def _grid_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -252,20 +251,31 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
     ``g`` is the integrand with the Gaussian factor divided out, g(z) =
     f(z) exp(+z.z).  The value is admissible when doubling the rule order
     moves it by less than 5 percent relative; the refined value is returned
-    either way.  The probe requires order <= 32 so the doubled rule exists.
+    either way.  Each grid sum runs axis by axis on f's values, as w g**2 =
+    w exp(2 z.z) f**2 factorizes.  The probe requires order <= 32.
     """
     fine_rule = _doubled_rule(rule)
-    return _admissibility(_sample(f, rule, vectorized), _sample(f, fine_rule, vectorized))[0]
+    return _admissibility((rule, _sample(f, rule, vectorized)), (fine_rule, _sample(f, fine_rule, vectorized)))[0]
 
 
-def _admissibility(coarse_sample, fine_sample) -> tuple[AdmissibilityResult, float]:
-    """The probe's result, and the power of two at or below max |g| that it divides g by (1.0 if none is safe)."""
-    samples = (coarse_sample, fine_sample)
-    # exact scaling by a power of two near 1 / max |g|, so a constant factor of f (the density) cannot overflow g**2
-    peak = max(float(np.max(np.abs(g))) for *_, g in samples)
+def _admissibility(*samples) -> tuple[AdmissibilityResult, float]:
+    """The probe on (rule, f's values) at the coarse and the doubled order, and the power of two it divides f by.
+
+    The divisor is the power of two at or below max |f| over both samples (1.0 if none is safe), exact, so a
+    constant factor of f (the density) cannot overflow the squares.  Each sum is sum_ijk W_i W_j W_k s_ijk**2,
+    s the scaled f and W = w exp(2 x**2) the rule's 1-D table, contracted over k, then j, then i by a pairwise
+    add.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled sum stays below 1e150.
+    """
+    peak = max(float(np.max(np.abs(values))) for _, values in samples)
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
-    with np.errstate(over="ignore"):  # each scaled g is squared in place
-        coarse, fine = (_grid_sum(w, np.square(s := g * (1.0 / unit), out=s)) for _, w, _, g in samples)
+
+    def total(rule, values):
+        w, n = _cached(rule, "probe", lambda: rule.weights * np.exp(2.0 * rule.nodes**2)), rule.order
+        squares = np.square(s := values * (1.0 / unit), out=s).reshape(n * n, n)
+        return float(np.add.reduce(w * ((squares @ w).reshape(n, n) @ w)))
+
+    with np.errstate(over="ignore"):  # a non-finite sum fails the probe
+        coarse, fine = (total(*sample) for sample in samples)
     stable = math.isfinite(coarse) and math.isfinite(fine) and abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine))
     return AdmissibilityResult(stable, fine * unit * unit), unit
 
@@ -328,27 +338,28 @@ def _coefficient_plan(max_rank: int) -> tuple[np.ndarray, np.ndarray, tuple[int,
 
 
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
-    """Probe, then project f: (coefficients, the rule's sample)."""
+    """Probe, then project f: (coefficients, g = f exp(+z.z) on the rule's grid)."""
     if f0 == 0.0 or not math.isfinite(f0):
         raise ValueError(f"f0 must be finite and nonzero, got {f0}")
     _require_order(rule, max_rank)
     fine_rule = _doubled_rule(rule)
-    sample = _sample(f, rule, vectorized)
-    check, unit = _admissibility(sample, _sample(f, fine_rule, vectorized))
+    values = _sample(f, rule, vectorized)
+    check, unit = _admissibility((rule, values), (fine_rule, _sample(f, fine_rule, vectorized)))
     if not check.admissible:
         # attributed to the caller of expand or truncation_error
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
-    points, weights, values, g = sample
-    _require_finite(values, points)
+    _require_finite(values, grid_points(rule))
+    with np.errstate(over="ignore"):
+        g = values * _cached(rule, "gauss", lambda: np.exp(np.sum(grid_points(rule) ** 2, axis=1)))
     # H_m,i on the tensor grid is the product of 1-D h_{count of axis a in i}, so its integral is a moment;
     # g scaled by the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
-    moments = _moments(weights * (g * (1.0 / unit)), _axis_table(rule, max_rank))
+    moments = _moments(grid_weights(rule) * (g * (1.0 / unit)), _axis_table(rule, max_rank))
     index, norms, bounds = _coefficient_plan(max_rank)
     with np.errstate(over="ignore"):  # an overflowing divisor is a silent inf, as in Python float arithmetic
         divisors = norms * (f0 / unit)
     data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / divisors)
     coeffs = tuple(SymTensor(3, m, data[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-    return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), sample
+    return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), g
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +424,8 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     which the expansion is an orthogonal projection, so the sequence cannot
     increase as ranks are added.
     """
-    coeffs, (_, weights, _, g) = _project(f, max_rank, rule, f0, vectorized)
+    coeffs, g = _project(f, max_rank, rule, f0, vectorized)
+    weights = grid_weights(rule)
     errors = np.empty(max_rank + 1)
     partial, residual = np.zeros_like(g), np.empty_like(g)
     for top, row in enumerate(_grid_rows(rule, max_rank)):

@@ -168,6 +168,33 @@ def test_verify_runs_are_byte_identical():
     assert invoke(argv) == invoke(argv)
 
 
+@pytest.mark.parametrize(
+    "suite, name, check",
+    [
+        ("translate", "translation_roundtrip", "roundtrip"),
+        ("rotate", "equivariance_residual", "equivariance"),
+        ("translate", "orthogonality_after_translation", "broken-orthogonality"),
+        ("ortho", "ortho_matrix", "physicist-orthogonality"),
+    ],
+)
+def test_verify_nan_after_finite_residual_fails(monkeypatch, suite, name, check):
+    # max(0.0, nan) is 0.0 in Python: a NaN that arrives after a finite residual must still fail its row
+    import hermtensor.cli as cli
+
+    real, calls = getattr(cli, name), []
+
+    def finite_then_nan(*args, **kwargs):
+        calls.append(name)
+        value = real(*args, **kwargs)
+        return value if len(calls) == 1 else value * math.nan
+
+    monkeypatch.setattr(cli, name, finite_then_nan)
+    code, report = invoke_json(["verify", suite, "--maps", "2", "--points", "2"])
+    rows = {r["check"]: r for r in report["results"]}
+    assert len(calls) > 1 and rows[check]["value"] == "nan" and rows[check]["pass"] is False
+    assert code == 1 and report["pass"] is False
+
+
 def test_csv_output_shape():
     code, text = invoke(["verify", "ortho", "--format", "csv"])
     assert code == 0

@@ -475,6 +475,64 @@ def test_admissibility_flag_does_not_depend_on_density():
     assert l2_admissible(lambda p: 1e300 * f(p), rule, vectorized=True).value == math.inf
 
 
+def grid_admissibility(f, rule, vectorized):
+    """The probe by the 3-D grid route: g = f exp(+z.z) at every node triple, scaled by the power of two at or
+    below max |g| over both orders, then sum w (g / unit)**2 pairwise; (flag, value)."""
+    samples = []
+    for r in (rule, gauss_hermite_rule(2 * rule.order)):
+        points = grid_points(r)
+        values = f(points) if vectorized else np.array([f(p) for p in points])
+        samples.append((grid_weights(r), values * np.exp(np.sum(points**2, axis=1))))
+    unit = math.ldexp(1.0, math.frexp(max(float(np.max(np.abs(g))) for _, g in samples))[1] - 1)
+    coarse, fine = (float(np.add.reduce(w * (g / unit) ** 2)) for w, g in samples)
+    return abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine)), fine * unit * unit
+
+
+def test_probe_matches_grid_oracle():
+    rng = np.random.default_rng(15)
+    cases = [(order, True) for order in range(4, 33) for _ in range(3)] + [(order, False) for order in range(4, 11)]
+    for order, vectorized in cases:
+        u, T = rng.uniform(-0.8, 0.8, 3), float(rng.uniform(0.5, 3.5))
+        f = drifting_maxwellian(u, T) if vectorized else lambda p: math.exp(-float((p - u) @ (p - u)) / T)
+        rule = gauss_hermite_rule(order)
+        got = l2_admissible(f, rule, vectorized=vectorized)
+        flag, value = grid_admissibility(f, rule, vectorized)
+        assert got.admissible == flag and abs(got.value - value) <= 1e-12 * value, (order, vectorized, u, T)
+
+
+def test_probe_reads_no_grid_weights_or_gaussian_factor(monkeypatch):
+    import hermtensor.quadrature as quadrature
+
+    rule, fine = unshared_rule(8), gauss_hermite_rule(16)
+    f = maxwellian((0.3, 0.0, -0.2))
+    real_cached, refused = quadrature._cached, {rule, fine}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe read the grid weights")
+
+    def cached(r, key, build):
+        if key in ("weights", "gauss") and r in refused:
+            raise AssertionError(f"the {key!r} table of an order-{r.order} rule was built")
+        return real_cached(r, key, build)
+
+    monkeypatch.setattr(quadrature, "_cached", cached)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "grid_weights", refuse)
+        l2_admissible(f, rule, vectorized=True)
+        l2_admissible(f, rule, vectorized=False)
+    assert set(rule._grid) == {"points", "probe"}
+    refused.remove(rule)  # the projection reads the coarse rule's tables, never the doubled rule's
+    expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    truncation_error(f, 2, rule, f0=math.pi ** (-1.5), vectorized=False)
+    assert {"weights", "gauss"} <= set(rule._grid)
+
+
+def test_integrate3_forms_no_gaussian_factor():
+    rule = unshared_rule(6)
+    assert integrate3(lambda p: np.ones(len(p)), rule, vectorized=True) == pytest.approx(math.pi**1.5, rel=1e-12)
+    assert "gauss" not in rule._grid
+
+
 # ---------------------------------------------------------------- truncation
 
 
@@ -587,7 +645,7 @@ def test_grid_cache_matches_fresh_build():
     points = grid_points(rule)
     assert grid_points(rule) is points and grid_weights(rule) is grid_weights(rule)
     assert bits([points, grid_weights(rule)]) == bits([grid_points(fresh), grid_weights(fresh)])
-    integrate3(lambda p: np.ones(len(p)), rule, vectorized=True)
+    truncation_error(maxwellian((0.3, 0.0, -0.2)), 2, rule, f0=math.pi ** (-1.5), vectorized=True)
     assert rule._grid["gauss"].tobytes() == np.exp(np.sum(grid_points(fresh) ** 2, axis=1)).tobytes()
     for rank in (2, 6, 4):
         rows = _grid_rows(rule, rank)
@@ -623,7 +681,8 @@ def test_grid_cache_is_read_only(vectorized):
     rule = unshared_rule(6)
     f = maxwellian((0.3, 0.0, -0.2))
     before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
-    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], _axis_table(rule, 2), *_grid_rows(rule, 2)]
+    cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], rule._grid["probe"], _axis_table(rule, 2)]
+    cached += _grid_rows(rule, 2)
     assert not any(a.flags.writeable for a in cached)
 
     def overwrites_points(p):

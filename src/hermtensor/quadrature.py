@@ -2,18 +2,18 @@
 
 Integrals are taken against the weight exp(-x**2) on each axis, tensorized
 over three dimensions.  Each basis function factors into 1-D polynomials,
-H_n,i(z) = prod_a h_{m_a}(z_a), so the work runs axis by axis against 1-D
-tables of h_0..h_N: projection contracts the weighted sample with the table
-at the nodes into a moment cube and gathers each coefficient from it; each
-Gram entry is a product of three 1-D sums; a series, in 3 or 6 dimensions,
-is summed one axis at a time at its points; the weighted-L2 probe sums
-w exp(2 z.z) f**2 against the 1-D table w exp(2 x**2), so g = f exp(+z.z)
-is formed on the projection's grid only.  The full basis rows on the node
-grid, outer products of 1-D table rows, serve truncation errors only.  The
-grid (node triples, weights, the factor exp(+z.z)), the 1-D tables and the
-rows depend only on the rule, so each rule builds each once, on first use,
-as one read-only array per key.  The node triples are stored axis-major,
-so a sum over a point's coordinates is three contiguous adds.
+H_n,i(z) = prod_a h_{m_a}(z_a), and so do the weights and exp(+z.z), so
+every grid sum but the truncation residual is one contraction, one axis at
+a time, of f's values against a 1-D table: w for ``integrate3``,
+w exp(2 x**2) for the weighted-L2 probe (on f**2), h_a w exp(x**2) for
+projection into a moment cube.  Each Gram entry is a product of three 1-D
+sums; a series, in 3 or 6 dimensions, is summed one axis at a time at its
+points.  Basis rows on the grid and g = f exp(+z.z) serve truncation
+errors only.  The grid (node triples, weights, the factor exp(+z.z)), the
+1-D tables and the rows depend only on the rule, so each rule builds each
+once, on first use, as one read-only array per key.  The node triples are
+stored axis-major, so a sum over a point's coordinates is three contiguous
+adds.
 """
 from __future__ import annotations
 
@@ -201,18 +201,13 @@ def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
 def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     """Approximate the integral of f(z) exp(-z.z) d^3z.
 
-    ``f`` receives points with the Gaussian factor already divided out.  By
-    default ``f`` is called once per node triple; pass ``vectorized=True``
-    for a callable that maps an (K, 3) array to K values.
+    ``f`` receives points with the Gaussian factor divided out: one node
+    triple per call, or with ``vectorized=True`` an (K, 3) array mapped to
+    K values.  The sum is the moment contraction against the 1-D weights.
     """
     values = _sample(f, rule, vectorized)
     _require_finite(values, grid_points(rule))
-    return _grid_sum(grid_weights(rule), values)
-
-
-def _grid_sum(weights: np.ndarray, values: np.ndarray) -> float:
-    """sum_k w_k v_k over a grid, pairwise in a fixed order, whatever the BLAS thread count."""
-    return float(np.add.reduce(weights * values))
+    return _moments(values, rule.weights[None, :]).item()
 
 
 def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYSICIST, shift=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -251,8 +246,9 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
     ``g`` is the integrand with the Gaussian factor divided out, g(z) =
     f(z) exp(+z.z).  The value is admissible when doubling the rule order
     moves it by less than 5 percent relative; the refined value is returned
-    either way.  Each grid sum runs axis by axis on f's values, as w g**2 =
-    w exp(2 z.z) f**2 factorizes.  The probe requires order <= 32.
+    either way.  Each grid sum is the moment contraction of f**2 against
+    the 1-D table w exp(2 x**2), as w g**2 = w exp(2 z.z) f**2 factorizes,
+    with f in units of a power of two.  The probe requires order <= 32.
     """
     fine_rule = _doubled_rule(rule)
     return _admissibility((rule, _sample(f, rule, vectorized)), (fine_rule, _sample(f, fine_rule, vectorized)))[0]
@@ -263,16 +259,15 @@ def _admissibility(*samples) -> tuple[AdmissibilityResult, float]:
 
     The divisor is the power of two at or below max |f| over both samples (1.0 if none is safe), exact, so a
     constant factor of f (the density) cannot overflow the squares.  Each sum is sum_ijk W_i W_j W_k s_ijk**2,
-    s the scaled f and W = w exp(2 x**2) the rule's 1-D table, contracted over k, then j, then i by a pairwise
-    add.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled sum stays below 1e150.
+    s the scaled f and W = w exp(2 x**2) the rule's 1-D table: the moment contraction of s**2 against the one-row
+    table W.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled sum stays below 1e150.
     """
     peak = max(float(np.max(np.abs(values))) for _, values in samples)
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
 
     def total(rule, values):
-        w, n = _cached(rule, "probe", lambda: rule.weights * np.exp(2.0 * rule.nodes**2)), rule.order
-        squares = np.square(s := values * (1.0 / unit), out=s).reshape(n * n, n)
-        return float(np.add.reduce(w * ((squares @ w).reshape(n, n) @ w)))
+        w = _cached(rule, "probe", lambda: rule.weights * np.exp(2.0 * rule.nodes**2))
+        return _moments(np.square(s := values * (1.0 / unit), out=s), w[None, :]).item()
 
     with np.errstate(over="ignore"):  # a non-finite sum fails the probe
         coarse, fine = (total(*sample) for sample in samples)
@@ -309,22 +304,26 @@ def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorize
 
         a_m[i] = 1 / (2**m m! f0) * Integral pi**(-3/2) f(z) H_m,i(z) d^3z.
 
-    The integrals run over the node grid with the Gaussian factor divided
-    out of f, axis by axis: each is a moment of the weighted sample against
-    the rule's cached 1-D table h_0..h_max_rank, so no basis rows on the
-    grid are built.  f0 must be finite and nonzero.  If the order-doubling
-    stability probe flags f as outside the weighted L2 space, a warning is
-    issued and the coefficients are still returned with
-    ``admissible=False``.  The rule needs an order of at least
-    2 max_rank + 2, and at most 32 for the probe.
+    The integrals run over the node grid, axis by axis: each is a moment of
+    f's values, in units of the probe's power of two, against the rule's
+    cached 1-D table h_a(x) w exp(x**2), so g = f exp(+z.z) is never formed
+    and no 3-D table but the node triples is read.  f0 must be finite and
+    nonzero.  If the order-doubling stability probe flags f as outside the
+    weighted L2 space, a warning is issued and the coefficients are still
+    returned with ``admissible=False``; a non-finite coefficient raises
+    ArithmeticError.  The rule needs an order of at least 2 max_rank + 2,
+    and at most 32 for the probe.
     """
     return _project(f, max_rank, rule, f0, vectorized)[0]
 
 
-def _moments(weighted: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Moment cube M[a, b, c] = sum_ijk h_a(x_i) h_b(x_j) h_c(x_k) v_ijk of a grid vector v, one axis at a time."""
+def _moments(vector: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Moment cube M[a, b, c] = sum_ijk T_a(x_i) T_b(x_j) T_c(x_k) v_ijk of a grid vector v and a 1-D table T.
+
+    Every grid sum but truncation_error's residual runs here, one axis at a time; a one-row table T = w gives M[0, 0, 0].
+    """
     top, order = table.shape
-    first = (table @ weighted.reshape(order, order * order)).reshape(top * order, order)  # [a, j, k]
+    first = (table @ vector.reshape(order, order * order)).reshape(top * order, order)  # [a, j, k]
     return table @ (first @ table.T).reshape(top, order, top)  # [a, j, c], then b from j
 
 
@@ -338,7 +337,7 @@ def _coefficient_plan(max_rank: int) -> tuple[np.ndarray, np.ndarray, tuple[int,
 
 
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
-    """Probe, then project f: (coefficients, g = f exp(+z.z) on the rule's grid)."""
+    """Probe, then project f: (coefficients, f's values on the rule's grid, the probe's power of two)."""
     if f0 == 0.0 or not math.isfinite(f0):
         raise ValueError(f"f0 must be finite and nonzero, got {f0}")
     _require_order(rule, max_rank)
@@ -349,17 +348,17 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
         # attributed to the caller of expand or truncation_error
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
     _require_finite(values, grid_points(rule))
-    with np.errstate(over="ignore"):
-        g = values * _cached(rule, "gauss", lambda: np.exp(np.sum(grid_points(rule) ** 2, axis=1)))
-    # H_m,i on the tensor grid is the product of 1-D h_{count of axis a in i}, so its integral is a moment;
-    # g scaled by the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
-    moments = _moments(grid_weights(rule) * (g * (1.0 / unit)), _axis_table(rule, max_rank))
+    # w g H_m,i factorizes over the axes, so its grid sum is a moment of f against one 1-D table; f in units of
+    # the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
+    table = _cached(rule, ("fold", max_rank), lambda: _axis_table(rule, max_rank) * (rule.weights * np.exp(rule.nodes**2)))
+    moments = _moments(values * (1.0 / unit), table)
     index, norms, bounds = _coefficient_plan(max_rank)
-    with np.errstate(over="ignore"):  # an overflowing divisor is a silent inf, as in Python float arithmetic
-        divisors = norms * (f0 / unit)
-    data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / divisors)
+    with np.errstate(all="ignore"):  # an overflowing divisor is a silent inf; a non-finite quotient is refused
+        data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / (norms * (f0 / unit)))
+    if not np.isfinite(data).all():
+        raise ArithmeticError("an expansion coefficient is not finite")
     coeffs = tuple(SymTensor(3, m, data[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
-    return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), g
+    return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), values, unit
 
 
 @lru_cache(maxsize=None)
@@ -422,18 +421,21 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
 
     e_N**2 = Integral pi**(-3/2) exp(+z.z) |f - f_N|^2 d^3z, the norm in
     which the expansion is an orthogonal projection, so the sequence cannot
-    increase as ranks are added.
+    increase as ranks are added.  The residual g - f0 S_N (g = f exp(+z.z),
+    S_N the rank-N series) is formed in units of the probe's power of two,
+    exact in range and finite where g would overflow, and summed pairwise.
     """
-    coeffs, g = _project(f, max_rank, rule, f0, vectorized)
-    weights = grid_weights(rule)
+    coeffs, values, unit = _project(f, max_rank, rule, f0, vectorized)
+    g = values * (1.0 / unit) * _cached(rule, "gauss", lambda: np.exp(np.sum(grid_points(rule) ** 2, axis=1)))
+    weights, scale = grid_weights(rule), f0 / unit
     errors = np.empty(max_rank + 1)
     partial, residual = np.zeros_like(g), np.empty_like(g)
     for top, row in enumerate(_grid_rows(rule, max_rank)):
         partial += (multiplicity_vector(top, 3) * coeffs[top].data) @ row
-        # w (g - f0 partial)**2 in one buffer: the operations of _grid_sum on the same operands
-        np.square(np.subtract(g, np.multiply(partial, f0, out=residual), out=residual), out=residual)
+        # w (g - f0 partial)**2 in one buffer, summed pairwise in a fixed order
+        np.square(np.subtract(g, np.multiply(partial, scale, out=residual), out=residual), out=residual)
         total = np.add.reduce(np.multiply(weights, residual, out=residual))
-        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(total)))
+        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(total))) * unit
     return errors
 
 

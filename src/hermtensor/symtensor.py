@@ -186,15 +186,15 @@ class SymTensor:
         """Read the canonical components out of a dense array in one gather.
 
         Only the canonical entries are consulted; the caller is responsible
-        for the array actually being symmetric.
+        for the array actually being symmetric.  A 0-d array has no dimension.
         """
         dense = np.asarray(dense)
         rank = dense.ndim
-        dim = dense.shape[0] if rank else 3
-        if rank and any(s != dim for s in dense.shape):
-            raise ValueError("dense array must be hypercubic")
         if rank == 0:
-            return cls(dim, 0, [float(dense)])
+            raise ValueError("a 0-d array carries no dimension; use scalar(value, dim) for a rank-0 tensor")
+        dim = dense.shape[0]
+        if any(s != dim for s in dense.shape):
+            raise ValueError("dense array must be hypercubic")
         return cls(dim, rank, dense[tuple(_index_columns(rank, dim))])
 
     def to_dense(self) -> np.ndarray:

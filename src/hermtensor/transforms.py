@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _grid_sum, _require_alpha, _require_rank
+from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_alpha, _require_rank
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -122,7 +122,7 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
 
     def value(r):
         with np.errstate(over="ignore"):
-            sums = [_grid_sum(r.weights, np.exp((smap.alpha * (r.nodes - c)) ** 2 - r.nodes**2)) for c in smap.z0]
+            sums = [float(np.add.reduce(r.weights * np.exp((smap.alpha * (r.nodes - c)) ** 2 - r.nodes**2))) for c in smap.z0]
         return sums[0] * sums[1] * sums[2]
 
     coarse = value(rule)

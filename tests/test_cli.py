@@ -267,19 +267,36 @@ def test_expand_near_largest_float_density_is_finite(recwarn):
 
 
 def test_expand_coefficients_exact_under_power_of_two_density():
-    # the density only scales f and f0; the moment scaling is exact, so not one bit may move
-    argv = [*EXPAND, "--drift=100,0,0", "--max-rank", "4", "--density"]
-    want = invoke_json([*argv, "1"])[1]["coefficients"]
-    for density in (2.0**-900, 2.0**1020):
-        assert invoke_json([*argv, repr(density)])[1]["coefficients"] == want
+    # the density only scales f and f0; the moment scaling is exact, so not one bit may move; at drift 1000 m/s
+    # g = f exp(+z.z) overflows at the outer nodes for density 2**1020, f in the probe's units does not
+    for drift in ("100,0,0", "1000,0,0"):
+        argv = [*EXPAND, f"--drift={drift}", "--max-rank", "4", "--density"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a 1000 m/s drift fails the order-16 probe at every density
+            want = invoke_json([*argv, "1"])[1]["coefficients"]
+            for density in (2.0**-900, 2.0**1020):
+                assert invoke_json([*argv, repr(density)])[1]["coefficients"] == want, (drift, density)
 
 
-def test_non_finite_coefficient_exits_3(capsys):
-    # g = f exp(+z.z) overflows at the outer nodes for this density and drift, so moments are nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert invoke([*EXPAND, "--density", "1.7e308", "--drift=1000,0,0"]) == (3, "")
-    assert "not finite" in capsys.readouterr().err
+def test_expand_float_edge_density_with_drift_is_finite():
+    # f is finite but g = f exp(+z.z) overflows at the outer nodes; f in the probe's units keeps every moment
+    # finite, and the probe's flag is the one at density 1 (a 1000 m/s drift fails the order-16 probe at any density)
+    for drift, admissible in (("300,0,0", True), ("1000,0,0", False)):
+        argv = [*EXPAND, f"--drift={drift}", "--max-rank", "4", "--density"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (code, report), (_, base) = invoke_json([*argv, "1.7e308"]), invoke_json([*argv, "1"])
+        assert code == 0 and report["admissible"] is base["admissible"] is admissible, drift
+        assert len(caught) == 2 * (not admissible), drift
+        values, want = ([c["value"] for r in x["coefficients"] for c in r["components"]] for x in (report, base))
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values), drift
+        assert values == pytest.approx(want, rel=1e-12, abs=1e-14), drift
+
+
+@pytest.mark.parametrize("argv", [["verify", "translate", "--maps", "0"], ["verify", "rotate", "--points", "0"]], ids=" ".join)
+def test_zero_sample_count_exits_2(argv, capsys):
+    assert invoke(argv) == (2, "")
+    assert f"argument {argv[2]}: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_numeric_error_exits_3(monkeypatch):

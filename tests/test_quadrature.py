@@ -527,6 +527,33 @@ def test_probe_reads_no_grid_weights_or_gaussian_factor(monkeypatch):
     assert {"weights", "gauss"} <= set(rule._grid)
 
 
+def test_expand_reads_no_grid_table_but_the_points():
+    rule = unshared_rule(8)
+    expand(maxwellian((0.3, 0.0, -0.2)), 3, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert set(rule._grid) == {"points", "probe", ("axis", 3), ("fold", 3)}  # no "gauss" or "weights"
+
+
+def test_non_finite_coefficient_raises():
+    # f0 / unit underflows to 0, so every coefficient divides by zero
+    def f(p):
+        return 1e300 * np.exp(-np.sum((p - np.array([0.3, 0.0, 0.0])) ** 2, axis=1))
+
+    rule = gauss_hermite_rule(16)
+    for project in (expand, truncation_error):
+        with pytest.raises(ArithmeticError, match="coefficient is not finite"):
+            project(f, 3, rule, f0=1e-300, vectorized=True)
+
+
+def test_truncation_error_scales_bitwise_with_power_of_two():
+    # the residual is formed in units of the probe's power of two, so scaling f and f0 by 2**k moves no bit
+    rule, f0, f = gauss_hermite_rule(12), math.pi ** (-1.5), drifting_maxwellian((0.3, -0.5, 0.2), 1.3)
+    want = truncation_error(f, 4, rule, f0, vectorized=True)
+    for k in (-900, 1000):
+        scale = 2.0**k
+        got = truncation_error(lambda p: scale * f(p), 4, rule, scale * f0, vectorized=True)
+        assert got.tobytes() == (scale * want).tobytes(), k
+
+
 def test_integrate3_forms_no_gaussian_factor():
     rule = unshared_rule(6)
     assert integrate3(lambda p: np.ones(len(p)), rule, vectorized=True) == pytest.approx(math.pi**1.5, rel=1e-12)
@@ -681,8 +708,9 @@ def test_grid_cache_is_read_only(vectorized):
     rule = unshared_rule(6)
     f = maxwellian((0.3, 0.0, -0.2))
     before = expand(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    truncation_error(f, 2, rule, f0=math.pi ** (-1.5), vectorized=True)  # builds the Gaussian factor and the rows
     cached = [grid_points(rule), grid_weights(rule), rule._grid["gauss"], rule._grid["probe"], _axis_table(rule, 2)]
-    cached += _grid_rows(rule, 2)
+    cached += [rule._grid[("fold", 2)], *_grid_rows(rule, 2)]
     assert not any(a.flags.writeable for a in cached)
 
     def overwrites_points(p):
@@ -706,7 +734,7 @@ def test_hand_built_rule_has_its_own_grid():
     a = expand(f, 2, shared, f0=math.pi ** (-1.5), vectorized=True)
     b = expand(f, 2, scaled, f0=math.pi ** (-1.5), vectorized=True)
     assert not np.array_equal(a[1].data, b[1].data)
-    assert not np.array_equal(scaled._grid["gauss"], shared._grid["gauss"])
+    assert not np.array_equal(scaled._grid[("fold", 2)], shared._grid[("fold", 2)])
 
 
 def row_oracle(f, max_rank, rule, f0):

@@ -158,8 +158,12 @@ def test_from_dense_is_bitwise_the_tensor(rank, dim):
     n = n_components(rank, dim)
     specials = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308], n)
     t = SymTensor(dim, rank, np.where(rng.random(n) < 0.3, specials, rng.standard_normal(n)))
+    if rank == 0:  # a 0-d array carries no dimension, so it is refused
+        with pytest.raises(ValueError, match=r"scalar\(value, dim\)"):
+            SymTensor.from_dense(t.to_dense())
+        return
     back = SymTensor.from_dense(t.to_dense())
-    assert back.rank == rank and (back.dim == dim or rank == 0)  # a rank-0 array carries no dimension
+    assert back.rank == rank and back.dim == dim
     assert back.data.dtype == np.float64 and back.data.tobytes() == t.data.tobytes()
 
 

@@ -10,6 +10,7 @@ config, 3 a non-finite value surfaced in numeric work.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .quadrature import (
     ATOMIC_MASS,
     ExpansionCoefficients,
     WeightSpec,
+    _finite_vector3,
     _require_order,
     _require_rank,
     expand,
@@ -90,41 +92,46 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _float_repr(v).strip('"')
+    """A scalar's JSON text, unquoted; a list's items joined by spaces."""
     if isinstance(v, (list, tuple)):
         return " ".join(str(x) for x in v)
-    return str(v)
+    return v if isinstance(v, str) else emit_json(v).strip('"')
 
 
-def emit_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(r.get(k)) for k in header) for r in rows]
-    return "\n".join(lines) + "\n"
+def _flat(row: dict) -> list[dict]:
+    """The row, or one row per object in its nested list of row objects, the parent's other fields first."""
+    for key, value in row.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            return [{**{k: v for k, v in row.items() if k != key}, **child} for child in value]
+    return [row]
 
 
-def _render(report: dict, fmt: str) -> str:
+def emit_csv(rows: list[dict], out) -> None:
+    """Write one CSV row per flattened row object (there must be one) to ``out``, under the first one's keys."""
+    rows = [flat for row in rows for flat in _flat(row)]
+    writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
+
+
+def _render(report: dict, fmt: str, out) -> None:
     if fmt == "json":
-        return emit_json(report) + "\n"
-    return emit_csv(report.get("results") or report.get("components") or [{"message": report.get("message", "")}])
+        out.write(emit_json(report) + "\n")
+    else:
+        rows = report.get("results") or report.get("components") or report.get("coefficients")
+        emit_csv(rows or [{"message": report.get("message", "")}], out)
 
 
 # --- small helpers --------------------------------------------------------
 
 
-def _parse_vector(text: str, length: int = 3) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != length:
-        raise ValueError(f"expected {length} comma-separated numbers, got {text!r}")
-    vector = tuple(float(p) for p in parts)
-    if not all(math.isfinite(c) for c in vector):
-        raise ValueError(f"expected finite numbers, got {text!r}")
-    return vector
+def _parse_vector(option: str, text: str) -> tuple[float, float, float]:
+    return _finite_vector3(option, [float(p) for p in text.split(",")])
+
+
+def _require_finite_result(name: str, values) -> None:  # exit 3: a non-finite result is never printed
+    if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+        raise ArithmeticError(f"{name} is not finite")
 
 
 def _count(text: str) -> int:
@@ -169,9 +176,10 @@ def cmd_basis(args) -> tuple[dict, int]:
             components.append({"index": list(idx), "terms": terms})
     else:
         _require_rank("basis", args.rank)
-        point = _parse_vector(args.point) if args.point is not None else (0.0, 0.0, 0.0)
+        point = _parse_vector("--point", args.point) if args.point is not None else (0.0, 0.0, 0.0)
         config["point"] = list(point)
         tensor = evaluate_basis(args.rank, point, dim=3, convention=convention)[args.rank]
+        _require_finite_result(f"a rank-{args.rank} basis value at {point}", tensor.data)
         components = [
             {"index": list(idx), "value": float(tensor[idx])}
             for idx in canonical_index_tuples(args.rank, 3)
@@ -181,6 +189,7 @@ def cmd_basis(args) -> tuple[dict, int]:
 
 def cmd_window(args) -> tuple[dict, int]:
     window = temperature_window(args.ti, args.tn)
+    _require_finite_result("a window bound", window or ())
     message = EMPTY_WINDOW_MESSAGE if window is None else f"({window[0]:g}, {window[1]:g})"
     report = {
         "command": "window",
@@ -193,7 +202,7 @@ def cmd_window(args) -> tuple[dict, int]:
 
 def cmd_expand(args) -> tuple[dict, int]:
     _require_rank("expand", args.max_rank)
-    drift = _parse_vector(args.drift)
+    drift = _parse_vector("--drift", args.drift)
     spec = WeightSpec(args.density, args.mass * ATOMIC_MASS, args.temperature, drift)
     rule = gauss_hermite_rule(args.quad_order)
     # f0 absorbs the Gaussian normalization so a pure Maxwellian reads a0 = 1
@@ -279,7 +288,7 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
 
 def _suite_scale(args) -> tuple[dict, list[dict]]:
     alphas = args.alpha or [0.5, 1.0, 1.3, 1.5, 2.0]
-    z0 = _parse_vector(args.z0)
+    z0 = _parse_vector("--z0", args.z0)
     rule = gauss_hermite_rule(args.quad_order)
     rows = []
     for alpha in alphas:
@@ -419,7 +428,7 @@ def main(argv=None, stdout=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.write(_render(report, args.format))
+    _render(report, args.format, out)
     return code
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series, reconstruct
+from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_positive, _require_rank, _series, reconstruct
 from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, max_component_diff, n_components
 
 __all__ = [
@@ -61,8 +61,7 @@ class SpeciesPair:
     T: float
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.m_s, self.m_sp, self.T)):
-            raise ValueError("masses and temperature must be finite and positive")
+        _require_positive(m_s=self.m_s, m_sp=self.m_sp, T=self.T)
 
     @property
     def reduced_mass(self) -> float:

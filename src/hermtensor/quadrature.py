@@ -111,9 +111,10 @@ def _require_rank(name: str, rank: int, low: int = 0) -> None:
         raise ValueError(f"{name} supports ranks {low}..{top}, got {rank}")
 
 
-def _require_alpha(alpha: float) -> None:
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+def _require_positive(**named: float) -> None:
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _finite_vector3(name: str, value) -> tuple[float, float, float]:
@@ -250,29 +251,29 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
     the 1-D table w exp(2 x**2), as w g**2 = w exp(2 z.z) f**2 factorizes,
     with f in units of a power of two.  The probe requires order <= 32.
     """
-    fine_rule = _doubled_rule(rule)
-    return _admissibility((rule, _sample(f, rule, vectorized)), (fine_rule, _sample(f, fine_rule, vectorized)))[0]
+    return _probe(f, rule, vectorized)[0]
 
 
-def _admissibility(*samples) -> tuple[AdmissibilityResult, float]:
-    """The probe on (rule, f's values) at the coarse and the doubled order, and the power of two it divides f by.
+def _probe(f, rule: QuadratureRule, vectorized: bool) -> tuple[AdmissibilityResult, float, np.ndarray]:
+    """Sample f once on the rule's grid and once on the doubled one, and probe: (result, divisor, coarse values).
 
     The divisor is the power of two at or below max |f| over both samples (1.0 if none is safe), exact, so a
     constant factor of f (the density) cannot overflow the squares.  Each sum is sum_ijk W_i W_j W_k s_ijk**2,
     s the scaled f and W = w exp(2 x**2) the rule's 1-D table: the moment contraction of s**2 against the one-row
     table W.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled sum stays below 1e150.
     """
+    samples = [(r, _sample(f, r, vectorized)) for r in (rule, _doubled_rule(rule))]
     peak = max(float(np.max(np.abs(values))) for _, values in samples)
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
 
-    def total(rule, values):
-        w = _cached(rule, "probe", lambda: rule.weights * np.exp(2.0 * rule.nodes**2))
+    def total(r, values):
+        w = _cached(r, "probe", lambda: r.weights * np.exp(2.0 * r.nodes**2))
         return _moments(np.square(s := values * (1.0 / unit), out=s), w[None, :]).item()
 
     with np.errstate(over="ignore"):  # a non-finite sum fails the probe
         coarse, fine = (total(*sample) for sample in samples)
     stable = math.isfinite(coarse) and math.isfinite(fine) and abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine))
-    return AdmissibilityResult(stable, fine * unit * unit), unit
+    return AdmissibilityResult(stable, fine * unit * unit), unit, samples[0][1]
 
 
 @dataclass(frozen=True)
@@ -341,9 +342,7 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     if f0 == 0.0 or not math.isfinite(f0):
         raise ValueError(f"f0 must be finite and nonzero, got {f0}")
     _require_order(rule, max_rank)
-    fine_rule = _doubled_rule(rule)
-    values = _sample(f, rule, vectorized)
-    check, unit = _admissibility((rule, values), (fine_rule, _sample(f, fine_rule, vectorized)))
+    check, unit, values = _probe(f, rule, vectorized)
     if not check.admissible:
         # attributed to the caller of expand or truncation_error
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
@@ -423,7 +422,8 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     which the expansion is an orthogonal projection, so the sequence cannot
     increase as ranks are added.  The residual g - f0 S_N (g = f exp(+z.z),
     S_N the rank-N series) is formed in units of the probe's power of two,
-    exact in range and finite where g would overflow, and summed pairwise.
+    exact in range and finite where g would overflow, and summed pairwise;
+    a NaN sum reads NaN.
     """
     coeffs, values, unit = _project(f, max_rank, rule, f0, vectorized)
     g = values * (1.0 / unit) * _cached(rule, "gauss", lambda: np.exp(np.sum(grid_points(rule) ** 2, axis=1)))
@@ -435,7 +435,7 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
         # w (g - f0 partial)**2 in one buffer, summed pairwise in a fixed order
         np.square(np.subtract(g, np.multiply(partial, scale, out=residual), out=residual), out=residual)
         total = np.add.reduce(np.multiply(weights, residual, out=residual))
-        errors[top] = math.sqrt(max(0.0, math.pi ** (-1.5) * float(total))) * unit
+        errors[top] = math.sqrt(math.pi ** (-1.5) * float(total)) * unit  # a sum of squares: >= 0 or nan
     return errors
 
 
@@ -454,8 +454,7 @@ class WeightSpec:
     v_av: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.density, self.mass, self.temperature)):
-            raise ValueError("density, mass and temperature must be finite and positive")
+        _require_positive(density=self.density, mass=self.mass, temperature=self.temperature)
         object.__setattr__(self, "v_av", _finite_vector3("v_av", self.v_av))
 
     @property

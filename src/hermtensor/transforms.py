@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_alpha, _require_rank
+from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_positive, _require_rank
 from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
 
 __all__ = [
@@ -50,7 +50,7 @@ class ScalingMap:
     z0: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _require_alpha(self.alpha)
+        _require_positive(alpha=self.alpha)
         object.__setattr__(self, "z0", _finite_vector3("z0", self.z0))
 
     def apply(self, z) -> np.ndarray:
@@ -76,14 +76,13 @@ class TranslationMap:
 
 def scaling_admissible(alpha: float) -> bool:
     """Strict convergence criterion alpha**2 < 2 for the scaled expansion."""
-    _require_alpha(alpha)
+    _require_positive(alpha=alpha)
     return alpha * alpha < 2.0
 
 
 def alpha_from_temperatures(T: float, T_s: float) -> float:
     """Scaling factor sqrt(T / T_s) between a distribution at T and a basis at T_s."""
-    if not (0 < T < math.inf and 0 < T_s < math.inf):
-        raise ValueError("temperatures must be positive and finite")
+    _require_positive(T=T, T_s=T_s)
     return math.sqrt(T / T_s)
 
 
@@ -94,8 +93,9 @@ def temperature_window(T_i: float, T_n: float):
     (T_i / 2, 2 T_n).  Returns None when the interval is empty, which for
     T_i >= T_n happens exactly when T_i >= 4 T_n.
     """
-    if not (T_i >= T_n and T_n > 0 and math.isfinite(T_i)):
-        raise ValueError("need finite T_i >= T_n > 0")
+    _require_positive(T_i=T_i, T_n=T_n)
+    if T_i < T_n:
+        raise ValueError(f"need T_i >= T_n, got T_i={T_i}, T_n={T_n}")
     lo, hi = T_i / 2.0, 2.0 * T_n
     return (lo, hi) if lo < hi else None
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hermtensor.cli import main, run
@@ -202,6 +204,56 @@ def test_csv_output_shape():
     assert lines[0] == "check,value,tolerance,mode,pass"
     assert len(lines) == 3
     assert "{" not in text
+
+
+@pytest.mark.parametrize(
+    "argv, header, rows",
+    [
+        (["expand", "--mass", "28", "--temperature", "300", "--max-rank", "4"], ["rank", "index", "value"], 35),
+        (["basis", "--rank", "2", "--symbolic"], ["index", "exponents", "coefficient"], 9),
+        (["window", "--ti", "2000", "--tn", "1000"], ["message"], 1),
+    ],
+    ids=["expand", "basis-symbolic", "window"],
+)
+def test_csv_output_keeps_every_row(argv, header, rows):
+    code, text = invoke([*argv, "--format", "csv"])
+    table = list(csv.reader(io.StringIO(text)))
+    assert code == 0 and table[0] == header and len(table) == rows + 1
+    assert all(len(row) == len(header) for row in table)
+    if argv[0] == "window":
+        assert table[1] == ["(1000, 2000)"]
+    if argv[0] == "expand":
+        assert float(table[1][2]) == pytest.approx(1.0, rel=1e-12)
+
+
+# a finite input whose result overflows: refused with nothing on stdout, never printed as "nan" or "inf"
+NON_FINITE_RESULTS = [
+    ["basis", "--rank", "6", "--point", "1e200,0,0"],
+    ["basis", "--rank", "3", "--point", "1e110,1e110,0"],
+    ["window", "--ti", "1e308", "--tn", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RESULTS, ids=" ".join)
+def test_non_finite_results_exit_3(argv, capsys):
+    with np.errstate(all="ignore"):
+        assert invoke(argv) == (3, "")
+    assert capsys.readouterr().err.startswith("numeric error: ")
+
+
+@pytest.mark.parametrize("value", ["1,2", "1,nan,2", "1,2,3,4"])
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--point", ["basis", "--rank", "2"]),
+        ("--drift", ["expand", "--mass", "28", "--temperature", "300"]),
+        ("--z0", ["verify", "scale"]),
+    ],
+    ids=["point", "drift", "z0"],
+)
+def test_vector_refusal_names_the_option(option, argv, value, capsys):
+    assert invoke([*argv, f"{option}={value}"]) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {option} must be a finite 3-vector, got [")
 
 
 # --- expand ---------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every rank cap in one table: each accepts its top rank and refuses the next one the same way."""
+"""Every rank cap and positive-scalar guard in one table: each refuses what is out of range the same way."""
 import io
+import math
 import re
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from hermtensor.mixed6 import (
 )
 from hermtensor.quadrature import (
     _RANK_CAPS,
+    ATOMIC_MASS,
     ExpansionCoefficients,
+    WeightSpec,
     expand,
     gauss_hermite_rule,
     ortho_matrix,
@@ -28,8 +31,12 @@ from hermtensor.quadrature import (
 from hermtensor.symtensor import SymTensor, n_components
 from hermtensor.transforms import (
     TO_CENTERED,
+    ScalingMap,
     TranslationMap,
+    alpha_from_temperatures,
     orthogonality_after_translation,
+    scaling_admissible,
+    temperature_window,
     translate_basis,
     translation_roundtrip,
 )
@@ -131,3 +138,27 @@ def test_readme_limits_table_matches_code():
     rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, re.M)
     assert len(rows) == len(_RANK_CAPS)
     assert {name: int(top) for name, top in rows} == _RANK_CAPS
+
+
+# (entry, parameter) -> a call with that parameter set to the given value and every other input admissible
+POSITIVE = {
+    ("WeightSpec", "density"): lambda v: WeightSpec(v, 28 * ATOMIC_MASS, 300.0),
+    ("WeightSpec", "mass"): lambda v: WeightSpec(1.0, v, 300.0),
+    ("WeightSpec", "temperature"): lambda v: WeightSpec(1.0, 28 * ATOMIC_MASS, v),
+    ("SpeciesPair", "m_s"): lambda v: SpeciesPair(v, 4.0, 300.0),
+    ("SpeciesPair", "m_sp"): lambda v: SpeciesPair(1.0, v, 300.0),
+    ("SpeciesPair", "T"): lambda v: SpeciesPair(1.0, 4.0, v),
+    ("ScalingMap", "alpha"): lambda v: ScalingMap(v),
+    ("scaling_admissible", "alpha"): lambda v: scaling_admissible(v),
+    ("alpha_from_temperatures", "T"): lambda v: alpha_from_temperatures(v, 300.0),
+    ("alpha_from_temperatures", "T_s"): lambda v: alpha_from_temperatures(300.0, v),
+    ("temperature_window", "T_i"): lambda v: temperature_window(v, 1000.0),
+    ("temperature_window", "T_n"): lambda v: temperature_window(2000.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("entry,parameter", sorted(POSITIVE))
+def test_positive_guard_names_the_parameter(entry, parameter, value):
+    with pytest.raises(ValueError, match=re.escape(f"{parameter} must be finite and positive, got {value}")):
+        POSITIVE[entry, parameter](value)

@@ -544,6 +544,17 @@ def test_non_finite_coefficient_raises():
             project(f, 3, rule, f0=1e-300, vectorized=True)
 
 
+def test_truncation_error_propagates_a_nan_residual_sum():
+    # f0 / unit overflows, so the coefficients are silently 0 and the scaled series 0 * inf: the residual sum is
+    # NaN, and the errors must say so rather than read 0.0
+    def f(p):
+        return 1e-300 * np.exp(-np.sum((p - 0.3) ** 2, axis=1))
+
+    with np.errstate(invalid="ignore"):
+        errors = truncation_error(f, 2, gauss_hermite_rule(12), f0=1e10, vectorized=True)
+    assert np.isnan(errors).all()
+
+
 def test_truncation_error_scales_bitwise_with_power_of_two():
     # the residual is formed in units of the probe's power of two, so scaling f and f0 by 2**k moves no bit
     rule, f0, f = gauss_hermite_rule(12), math.pi ** (-1.5), drifting_maxwellian((0.3, -0.5, 0.2), 1.3)
@@ -654,6 +665,9 @@ def test_each_grid_sampled_once():
     assert sampled == [order**3, (2 * order) ** 3]
     sampled.clear()
     truncation_error(counted, 2, rule, f0=math.pi ** (-1.5), vectorized=True)
+    assert sampled == [order**3, (2 * order) ** 3]
+    sampled.clear()
+    l2_admissible(counted, rule, vectorized=True)
     assert sampled == [order**3, (2 * order) ** 3]
 
 

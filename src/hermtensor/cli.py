@@ -39,15 +39,13 @@ from .quadrature import (
 from .symtensor import SymTensor, canonical_index_tuples, n_components, perm_delta, scalar
 from .transforms import (
     DIVERGENCE_RATIO,
-    TO_CENTERED,
     ScalingMap,
     TranslationMap,
+    _roundtrip,
     convergence_probe,
     orthogonality_after_translation,
     scaling_admissible,
     temperature_window,
-    translated_hermite,
-    translation_roundtrip,
 )
 
 __all__ = ["main", "run"]
@@ -139,6 +137,13 @@ def _count(text: str) -> int:
     if (count := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _positive(text: str) -> float:
+    """A finite positive physical input: argparse names the option, and shows the text typed, when this refuses."""
+    if not 0 < (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
 
 
 def _check(name: str, value: float, tolerance: float, mode: str = "max") -> dict:
@@ -263,12 +268,11 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
         tmap = TranslationMap(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
         z = rng.uniform(-2.0, 2.0, 3)
         direct = hermite_phys(args.max_rank, z - np.asarray(tmap.z00)).values
-        for rank in range(args.max_rank + 1):
-            got = translated_hermite(rank, tmap, TO_CENTERED, z)
-            scale_ = np.maximum(1.0, np.max(np.abs(direct[rank].data)))
-            diff = np.max(np.abs(got.data - direct[rank].data))
-            identity_worst = np.maximum(identity_worst, diff / scale_)
-        roundtrip_worst = np.maximum(roundtrip_worst, translation_roundtrip(args.max_rank, tmap, z))
+        forward, residual = _roundtrip(args.max_rank, tmap, z)  # forward[rank] is H_rank at z - z00 via the frame at za
+        for got, want in zip(forward, direct):
+            diff = np.max(np.abs(got.data - want.data)) / np.maximum(1.0, np.max(np.abs(want.data)))
+            identity_worst = np.maximum(identity_worst, diff)
+        roundtrip_worst = np.maximum(roundtrip_worst, residual)
     unit = TranslationMap((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     rule = gauss_hermite_rule(args.quad_order)
     broken = 0.0
@@ -383,21 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--points", type=_count, default=20)
     p_verify.add_argument("--alpha", type=float, action="append")
     p_verify.add_argument("--z0", type=str, default="1,0,0")
-    p_verify.add_argument("--ms", type=float, default=16.0, help="unprimed mass in u")
-    p_verify.add_argument("--msp", type=float, default=16.0, help="primed mass in u")
-    p_verify.add_argument("--temperature", type=float, default=300.0)
+    p_verify.add_argument("--ms", type=_positive, default=16.0, help="unprimed mass in u")
+    p_verify.add_argument("--msp", type=_positive, default=16.0, help="primed mass in u")
+    p_verify.add_argument("--temperature", type=_positive, default=300.0)
     common(p_verify)
 
     p_window = sub.add_parser("window", help="basis temperature window for an ion/neutral pair")
-    p_window.add_argument("--ti", type=float, required=True)
-    p_window.add_argument("--tn", type=float, required=True)
+    p_window.add_argument("--ti", type=_positive, required=True)
+    p_window.add_argument("--tn", type=_positive, required=True)
     common(p_window)
 
     p_expand = sub.add_parser("expand", help="expand a drifting Maxwellian given physical inputs")
-    p_expand.add_argument("--mass", type=float, required=True, help="molecular mass in u")
-    p_expand.add_argument("--temperature", type=float, required=True, help="temperature in K")
+    p_expand.add_argument("--mass", type=_positive, required=True, help="molecular mass in u")
+    p_expand.add_argument("--temperature", type=_positive, required=True, help="temperature in K")
     p_expand.add_argument("--drift", type=str, default="0,0,0", help="drift velocity in m/s")
-    p_expand.add_argument("--density", type=float, default=1.0)
+    p_expand.add_argument("--density", type=_positive, default=1.0)
     p_expand.add_argument("--max-rank", type=int, default=3)
     p_expand.add_argument("--quad-order", type=int, default=16)
     common(p_expand)
@@ -421,7 +425,8 @@ def main(argv=None, stdout=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, code = _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused (exit 3) or a verify row, never a warning
+            report, code = _COMMANDS[args.command](args)
     except ArithmeticError as exc:  # NonFiniteIntegrandError included
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

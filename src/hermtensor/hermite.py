@@ -24,7 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symtensor import SUPPORTED_DIMS, SymTensor, _axis_counts, max_component_diff, scalar, sym_product
+from .symtensor import (
+    SymTensor, _axis_counts, _check_dim, _require_at_least, _require_positive, max_component_diff, scalar, sym_product,
+)
 
 __all__ = [
     "BasisEvaluation",
@@ -181,13 +183,11 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     coordinates are refused with ``ValueError``; rows at many points come
     from ``product_rows``.  Returns a list of SymTensor, one per rank.
     """
+    _check_dim(dim)
+    _require_at_least("max_rank", max_rank)
     comps = list(components)
     if len(comps) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(comps)}")
-    if dim not in SUPPORTED_DIMS:
-        raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}")
-    if max_rank < 0:
-        raise ValueError("max_rank must be non-negative")
     seed_factor = 2 if convention is PHYSICIST else 1
     exact = isinstance(comps[0], PolyScalar)
     one, zero = (PolyScalar.constant(dim, 1), PolyScalar.constant(dim, 0)) if exact else (1.0, 0.0)
@@ -240,8 +240,7 @@ def convert(basis: BasisEvaluation, target: HermiteConvention) -> BasisEvaluatio
 
 def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:
     """1-D h_0..h_max_n at x on a new leading axis: h_{k+1} = factor x h_k - factor k h_{k-1}."""
-    if max_n < 0:
-        raise ValueError("order must be non-negative")
+    _require_at_least("max_n", max_n)
     x = np.asarray(x, dtype=np.float64)
     table = np.empty((max_n + 1, *x.shape))
     table[0], table[1:2] = 1.0, factor * x
@@ -288,10 +287,8 @@ def grad_check(rank: int, z, h: float = 1e-5) -> float:
     right-hand side 2n sym_product(e_i, H_{n-1}); returns the largest
     absolute deviation over axes and components.
     """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if not (0 < h < math.inf):
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    _require_at_least("rank", rank, 1)
+    _require_positive(h=h)
     zs = np.asarray(z, dtype=np.float64)
     dim = len(zs)
     lower = evaluate_basis(rank - 1, zs, dim=dim)[rank - 1]

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_positive, _require_rank, _series, reconstruct
-from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, max_component_diff, n_components
+from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series, reconstruct
+from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, _require_positive, max_component_diff, n_components
 
 __all__ = [
     "BOLTZMANN",
@@ -136,8 +136,8 @@ class MixedPoint:
         return np.asarray(self.coords[3:])
 
 
-def _frame_coords(p: MixedPoint, frame: str) -> tuple[float, ...]:
-    if p.frame != frame:
+def _frame_coords(p: MixedPoint, frame: str | None) -> tuple[float, ...]:
+    if frame not in (None, p.frame):
         raise ValueError(f"point is in frame {p.frame!r}, expected {frame!r}")
     return p.coords
 
@@ -177,11 +177,25 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     return MixedPoint.stack(c, g, COM_RELATIVE_FRAME)
 
 
-def _coords6(x) -> tuple[float, ...]:
-    coords = x.coords if isinstance(x, MixedPoint) else tuple(float(c) for c in np.asarray(x, dtype=np.float64))
-    if len(coords) != 6:
-        raise ValueError("need a 6-vector")
-    return coords
+def _points6(name: str, x, frame: str | None = None, batch: bool = True) -> tuple[np.ndarray, bool]:
+    """``x`` as (K, 6) float coordinates, and whether it was one point.
+
+    One point is a 6-vector or a MixedPoint, in ``frame`` when one is named; with ``batch``, a (K, 6) array
+    or a list or tuple of points is K points.  Anything else raises ValueError naming ``name``.
+    """
+    single = isinstance(x, MixedPoint)
+    rows = [x] if single else x
+    if isinstance(rows, (list, tuple)):
+        rows = [_frame_coords(p, frame) if isinstance(p, MixedPoint) else p for p in rows]
+    try:
+        shape = (pts := np.asarray(rows, dtype=np.float64)).shape
+    except (TypeError, ValueError):  # ragged, or not numbers
+        shape = None
+    single = single or shape == (6,)
+    if not (single or batch and (shape == (0,) or shape is not None and shape[1:] == (6,))):
+        kind = "a 6-vector or MixedPoint" + (", or a (K, 6) batch of them" if batch else "")
+        raise ValueError(f"{name} must be {kind}, got {'ragged or non-numeric input' if shape is None else f'shape {shape}'}")
+    return pts.reshape(-1, 6), single
 
 
 def mixed_hermite(N: int, x) -> list[SymTensor]:
@@ -191,7 +205,7 @@ def mixed_hermite(N: int, x) -> list[SymTensor]:
     component factor into a product of two 3-D polynomials, one per block.
     """
     _require_rank("mixed", N)
-    return evaluate_basis(N, _coords6(x), dim=6, convention=PHYSICIST)
+    return evaluate_basis(N, _points6("x", x, batch=False)[0][0], dim=6, convention=PHYSICIST)
 
 
 def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
@@ -209,7 +223,7 @@ def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
 def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     """Max deviation of rotate-then-evaluate from evaluate-then-rotate."""
     rot = BlockRotation.from_pair(pair)
-    coords = _coords6(x)
+    coords = _points6("x", x, batch=False)[0][0]
     at_rotated = mixed_hermite(N, rot.apply(coords))
     rotated = [rotate_rank_n(rot, t) for t in mixed_hermite(N, coords)]
     return float(np.max([max_component_diff(a, b) for a, b in zip(at_rotated, rotated)]))
@@ -247,21 +261,18 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
 
 
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
-    """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a (K, 6) batch."""
+    """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a batch of them."""
     _require_rank("mixed", len(alphas) - 1)
-    return _series(alphas, f0, x.coords if isinstance(x, MixedPoint) else x, 6)
-
-
-def _species_coords(points) -> np.ndarray:
-    """(K, 6) coordinates of species-frame points; bare 6-vectors are taken as species frame."""
-    rows = [_frame_coords(p, SPECIES_FRAME) if isinstance(p, MixedPoint) else p for p in points]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 6)
+    pts, single = _points6("x", x)
+    return _series(alphas, f0, pts[0] if single else pts, 6)
 
 
 def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, points):
-    """Species distributions multiplied at one species-frame MixedPoint (a float) or a sequence of points (an array)."""
-    single = isinstance(points, MixedPoint)
-    coords = _species_coords([points] if single else points)
+    """Species distributions multiplied at one species-frame point (a float) or a batch of them (an array).
+
+    Points are as for ``mixed_reconstruct``, but a MixedPoint must be in the species frame.
+    """
+    coords, single = _points6("points", points, SPECIES_FRAME)
     values = reconstruct(coeff_s, coords[:, 3:]) * reconstruct(coeff_sp, coords[:, :3])
     return float(values[0]) if single else values
 
@@ -275,7 +286,7 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     Points are as for ``product_distribution``; with none the mismatch is 0.0.
     """
     _require_rank("invariance_per_species", max(coeff_s.max_rank, coeff_sp.max_rank))
-    coords = _species_coords(points)
+    coords = _points6("points", points, SPECIES_FRAME)[0]
     rot = BlockRotation.from_pair(pair)
     betas = rotate_coefficients(stack_coefficients(coeff_s, coeff_sp), rot)
     direct = product_distribution(coeff_s, coeff_sp, coords)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import PHYSICIST, _hermite_table
-from .symtensor import SymTensor, _axis_counts, _frozen, multiplicity_vector
+from .symtensor import SymTensor, _axis_counts, _frozen, _require_at_least, _require_positive, multiplicity_vector
 
 __all__ = [
     "AdmissibilityResult",
@@ -111,12 +111,6 @@ def _require_rank(name: str, rank: int, low: int = 0) -> None:
         raise ValueError(f"{name} supports ranks {low}..{top}, got {rank}")
 
 
-def _require_positive(**named: float) -> None:
-    for name, value in named.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def _finite_vector3(name: str, value) -> tuple[float, float, float]:
     """``value`` as a tuple of three finite floats; anything else raises ValueError."""
     try:
@@ -130,8 +124,7 @@ def _finite_vector3(name: str, value) -> tuple[float, float, float]:
 
 def _require_order(rule: QuadratureRule, rank: int) -> None:
     """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
-    if rank < 0:
-        raise ValueError(f"rank must be >= 0, got {rank}")
+    _require_at_least("rank", rank)
     if rule.order < 2 * rank + 2:
         raise ValueError(f"rule order {rule.order} insufficient for rank {rank}; need >= {2 * rank + 2}")
 
@@ -286,8 +279,7 @@ class ExpansionCoefficients:
     admissible: bool = True
 
     def __post_init__(self):
-        if self.max_rank < 0:
-            raise ValueError(f"max_rank must be >= 0, got {self.max_rank}")
+        _require_at_least("max_rank", self.max_rank)
         if len(self.coeffs) != self.max_rank + 1:
             raise ValueError("need one coefficient tensor per rank 0..max_rank")
         for n, c in enumerate(self.coeffs):
@@ -311,9 +303,10 @@ def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorize
     and no 3-D table but the node triples is read.  f0 must be finite and
     nonzero.  If the order-doubling stability probe flags f as outside the
     weighted L2 space, a warning is issued and the coefficients are still
-    returned with ``admissible=False``; a non-finite coefficient raises
-    ArithmeticError.  The rule needs an order of at least 2 max_rank + 2,
-    and at most 32 for the probe.
+    returned with ``admissible=False``; a non-finite coefficient, or a
+    divisor 2**m m! f0 that overflows in those units (it would zero its
+    coefficients), raises ArithmeticError.  The rule needs an order of at
+    least 2 max_rank + 2, and at most 32 for the probe.
     """
     return _project(f, max_rank, rule, f0, vectorized)[0]
 
@@ -352,10 +345,11 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     table = _cached(rule, ("fold", max_rank), lambda: _axis_table(rule, max_rank) * (rule.weights * np.exp(rule.nodes**2)))
     moments = _moments(values * (1.0 / unit), table)
     index, norms, bounds = _coefficient_plan(max_rank)
-    with np.errstate(all="ignore"):  # an overflowing divisor is a silent inf; a non-finite quotient is refused
-        data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / (norms * (f0 / unit)))
-    if not np.isfinite(data).all():
-        raise ArithmeticError("an expansion coefficient is not finite")
+    with np.errstate(all="ignore"):  # an overflowing divisor would zero its coefficients: both are refused
+        divisor = norms * (f0 / unit)
+        data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / divisor)
+    if not (np.isfinite(divisor).all() and np.isfinite(data).all()):
+        raise ArithmeticError("an expansion coefficient is not finite, or its divisor 2**m m! f0 overflows in f's units")
     coeffs = tuple(SymTensor(3, m, data[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
     return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), values, unit
 

@@ -8,6 +8,10 @@ tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 The module owns the label-count table of canonical storage (how often each
 axis appears in each tuple); a symmetrized product is one unbuffered
 scatter-add over a flat split plan built once per rank pair from them.
+It sits at the bottom of the import graph, so it also holds the generic
+input guards every module calls: the dimension, integer parameters such as
+ranks and degrees, and positive scalars, each refused with a ValueError
+that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -51,6 +55,22 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
 
 
+def _require_at_least(name: str, value: int, low: int = 0) -> None:
+    """Refuse an integer parameter (a rank, a degree) below ``low``, naming it.
+
+    Plain positional calls, no keyword dict: every SymTensor construction runs one.
+    """
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _require_positive(**named: float) -> None:
+    """Refuse each keyword value that is not finite and positive, naming it."""
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """A canonical (sorted, non-decreasing) tuple of axis labels."""
@@ -90,8 +110,7 @@ def n_components(rank: int, dim: int) -> int:
 def canonical_index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
     """All canonical index tuples of the given rank, in lexicographic order."""
     _check_dim(dim)
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
+    _require_at_least("rank", rank)
     return tuple(itertools.combinations_with_replacement(range(dim), rank))
 
 
@@ -158,8 +177,7 @@ class SymTensor:
 
     def __init__(self, dim: int, rank: int, components):
         _check_dim(dim)
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
+        _require_at_least("rank", rank)
         is_float = isinstance(components, np.ndarray) and components.dtype == np.float64
         arr = components if is_float else _component_array(components)
         if arr.shape != (n_components(rank, dim),):
@@ -261,11 +279,9 @@ def identity(dim: int) -> SymTensor:
 def outer_power(vector, power: int) -> SymTensor:
     """Symmetric outer power v^(k): component at (i1..ik) is v_i1 * ... * v_ik."""
     vec = np.asarray(vector)
-    _check_dim(len(vec))
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    out = np.ones(n_components(power, len(vec)))
-    for column in _index_columns(power, len(vec)):  # left to right from 1.0
+    columns = _index_columns(power, len(vec))  # canonical_index_tuples refuses the dimension and the power
+    out = np.ones(columns.shape[1])
+    for column in columns:  # left to right from 1.0
         out = out * vec[column]
     return SymTensor(len(vec), power, _frozen(out))
 

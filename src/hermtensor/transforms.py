@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_positive, _require_rank
-from .symtensor import SymTensor, max_component_diff, outer_power, sym_product
+from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_rank
+from .symtensor import SymTensor, _require_positive, max_component_diff, outer_power, sym_product
 
 __all__ = [
     "ProbeResult",
@@ -175,15 +175,15 @@ def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> Sy
 def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
     """Residual of translating rank 0..rank forward and back at one point."""
     _require_rank("translation_roundtrip", rank)
-    point = np.asarray(z, dtype=np.float64)
-    original = hermite_phys(rank, point - np.asarray(tmap.za)).values
-    forward = [
-        assemble_translation(translate_basis(k, tmap, TO_CENTERED), original) for k in range(rank + 1)
-    ]
-    back = [
-        assemble_translation(translate_basis(k, tmap, TO_AVERAGE), forward) for k in range(rank + 1)
-    ]
-    return float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))
+    return _roundtrip(rank, tmap, z)[1]
+
+
+def _roundtrip(rank: int, tmap: TranslationMap, z) -> tuple[list[SymTensor], float]:
+    """H_0..H_rank at z - z00 assembled from the frame at za ("r->0"), and the residual of translating them back."""
+    original = hermite_phys(rank, np.asarray(z, dtype=np.float64) - np.asarray(tmap.za)).values
+    forward = [assemble_translation(translate_basis(k, tmap, TO_CENTERED), original) for k in range(rank + 1)]
+    back = [assemble_translation(translate_basis(k, tmap, TO_AVERAGE), forward) for k in range(rank + 1)]
+    return forward, float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))
 
 
 def orthogonality_after_translation(n_rank: int, m_rank: int, tmap: TranslationMap, rule: QuadratureRule) -> np.ndarray:

@@ -173,7 +173,7 @@ def test_verify_runs_are_byte_identical():
 @pytest.mark.parametrize(
     "suite, name, check",
     [
-        ("translate", "translation_roundtrip", "roundtrip"),
+        ("translate", "_roundtrip", "roundtrip"),
         ("rotate", "equivariance_residual", "equivariance"),
         ("translate", "orthogonality_after_translation", "broken-orthogonality"),
         ("ortho", "ortho_matrix", "physicist-orthogonality"),
@@ -188,7 +188,9 @@ def test_verify_nan_after_finite_residual_fails(monkeypatch, suite, name, check)
     def finite_then_nan(*args, **kwargs):
         calls.append(name)
         value = real(*args, **kwargs)
-        return value if len(calls) == 1 else value * math.nan
+        if len(calls) == 1:
+            return value
+        return (value[0], value[1] * math.nan) if name == "_roundtrip" else value * math.nan  # (forward, residual)
 
     monkeypatch.setattr(cli, name, finite_then_nan)
     code, report = invoke_json(["verify", suite, "--maps", "2", "--points", "2"])
@@ -239,6 +241,15 @@ def test_non_finite_results_exit_3(argv, capsys):
     with np.errstate(all="ignore"):
         assert invoke(argv) == (3, "")
     assert capsys.readouterr().err.startswith("numeric error: ")
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RESULTS[:2], ids=" ".join)
+def test_non_finite_results_warn_nothing(argv, capsys):
+    # the overflow surfaces once, as the exit-3 line, not as numpy warnings naming library internals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invoke(argv) == (3, "")
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["1,2", "1,nan,2", "1,2,3,4"])
@@ -295,6 +306,26 @@ NON_FINITE_ARGVS = [
     *(["window", "--ti", ti, "--tn", tn] for ti, tn in (("inf", "1000"), ("inf", "inf"), ("nan", "1000"))),
     *(["verify", "rotate", option, v] for option in ("--ms", "--msp", "--temperature") for v in ("inf", "nan")),
 ]
+
+
+# every positive physical option, each given with the other required options of its command
+POSITIVE_OPTIONS = [
+    ["expand", "--temperature", "300", "--mass"],
+    ["expand", "--mass", "28", "--temperature"],
+    [*EXPAND, "--density"],
+    ["verify", "rotate", "--ms"],
+    ["verify", "rotate", "--msp"],
+    ["verify", "rotate", "--temperature"],
+    ["window", "--tn", "1000", "--ti"],
+    ["window", "--ti", "2000", "--tn"],
+]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0.5", "inf", "nan"])
+@pytest.mark.parametrize("argv", POSITIVE_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_positive_option_refusal_names_what_was_typed(argv, value, capsys):
+    assert invoke([*argv, value]) == (2, "")
+    assert f"argument {argv[-1]}: must be finite and positive, got {value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)

@@ -286,7 +286,7 @@ def test_grad_check_rejects_rank_zero():
 
 @pytest.mark.parametrize("h", [math.nan, 0.0, -1e-5, math.inf])
 def test_grad_check_refuses_a_step_that_is_not_finite_and_positive(h):
-    with pytest.raises(ValueError, match="step"):
+    with pytest.raises(ValueError, match=f"^h must be finite and positive, got {h}$"):
         grad_check(2, (0.3, -0.1, 0.5), h=h)
 
 

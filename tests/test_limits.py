@@ -1,4 +1,9 @@
-"""Every rank cap and positive-scalar guard in one table: each refuses what is out of range the same way."""
+"""Every rank cap and input guard in one table each: each refuses what is out of range the same way.
+
+The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters and the
+dimension (``_require_at_least``, ``_check_dim``), and 6-D points (the ``mixed6`` point reader).  Each refusal is a
+``ValueError`` naming the parameter.
+"""
 import io
 import math
 import re
@@ -8,13 +13,16 @@ import numpy as np
 import pytest
 
 from hermtensor.cli import main
+from hermtensor.hermite import _hermite_table, evaluate_basis, grad_check
 from hermtensor.mixed6 import (
     MAX_MIXED_RANK,
     BlockRotation,
     SpeciesPair,
     distribution_invariance,
+    equivariance_residual,
     mixed_hermite,
     mixed_reconstruct,
+    product_distribution,
     rotate_rank_n,
     stack_coefficients,
 )
@@ -28,7 +36,7 @@ from hermtensor.quadrature import (
     ortho_matrix,
     truncation_error,
 )
-from hermtensor.symtensor import SymTensor, n_components
+from hermtensor.symtensor import SymTensor, canonical_index_tuples, n_components, outer_power
 from hermtensor.transforms import (
     TO_CENTERED,
     ScalingMap,
@@ -162,3 +170,49 @@ POSITIVE = {
 def test_positive_guard_names_the_parameter(entry, parameter, value):
     with pytest.raises(ValueError, match=re.escape(f"{parameter} must be finite and positive, got {value}")):
         POSITIVE[entry, parameter](value)
+
+
+Z = (0.3, -0.1, 0.5)
+
+# entry -> (a call with one integer input, the dimension or the step out of range and every other input
+# admissible, the refusal); outer_power's power is the rank of its result.  _require_order and
+# ExpansionCoefficients refused with this wording already: test_negative_ranks_are_refused and
+# test_negative_max_rank_refused_at_construction pin them
+INTEGER = {
+    "canonical_index_tuples": (lambda: canonical_index_tuples(-1, 3), "rank must be >= 0, got -1"),
+    "SymTensor": (lambda: SymTensor(3, -1, []), "rank must be >= 0, got -1"),
+    "outer_power": (lambda: outer_power(np.ones(3), -1), "rank must be >= 0, got -1"),
+    "evaluate_basis": (lambda: evaluate_basis(-1, Z), "max_rank must be >= 0, got -1"),
+    "evaluate_basis dim": (lambda: evaluate_basis(2, (*Z, 0.0), dim=4), "dimension must be one of (3, 6), got 4"),
+    "_hermite_table": (lambda: _hermite_table(-1, 0.5), "max_n must be >= 0, got -1"),
+    "grad_check": (lambda: grad_check(-1, Z), "rank must be >= 1, got -1"),
+    "grad_check rank 0": (lambda: grad_check(0, Z), "rank must be >= 1, got 0"),
+    "grad_check dim": (lambda: grad_check(2, (*Z, 0.0)), "dimension must be one of (3, 6), got 4"),
+    "grad_check h": (lambda: grad_check(2, Z, h=0.0), "h must be finite and positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER))
+def test_integer_guard_names_the_parameter(entry):
+    call, message = INTEGER[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# entry -> (a call at the given 6-D points, the parameter it names, whether it takes a batch)
+POINTS6 = {
+    "mixed_hermite": (lambda x: mixed_hermite(2, x), "x", False),
+    "equivariance_residual": (lambda x: equivariance_residual(2, x, PAIR), "x", False),
+    "mixed_reconstruct": (lambda x: mixed_reconstruct([zeros(6, 0), zeros(6, 1)], x), "x", True),
+    "product_distribution": (lambda x: product_distribution(expansion(1), expansion(1), x), "points", True),
+    "distribution_invariance": (lambda x: distribution_invariance(expansion(1), expansion(1), PAIR, x), "points", True),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (6, 6, 1)], ids=str)
+@pytest.mark.parametrize("entry", sorted(POINTS6))
+def test_6d_point_guard_names_the_parameter(entry, shape):
+    call, name, batch = POINTS6[entry]
+    kind = "a 6-vector or MixedPoint" + (", or a (K, 6) batch of them" if batch else "")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}, got shape {shape}')}$"):
+        call(np.zeros(shape))

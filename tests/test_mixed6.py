@@ -366,6 +366,17 @@ def test_batched_frames_refuse_bad_input():
             mixed_reconstruct(alphas, (0.0,) * 6)
 
 
+def test_bare_6_vector_is_one_point():
+    # every 6-D point form reads the same coordinates: a bare 6-vector, a MixedPoint, a one-row batch, a list
+    coeff_s, coeff_sp = drifted_pair_coefficients()
+    pair, x = pair_with_ratio(4.0), np.array([0.3, -0.2, 0.1, 0.5, -0.4, 0.2])
+    batch = product_distribution(coeff_s, coeff_sp, x[None, :])
+    for point in (x, tuple(x), MixedPoint(tuple(x), SPECIES_FRAME)):
+        assert product_distribution(coeff_s, coeff_sp, point) == batch[0]
+    assert product_distribution(coeff_s, coeff_sp, [MixedPoint(tuple(x), SPECIES_FRAME)]).tolist() == batch.tolist()
+    assert distribution_invariance(coeff_s, coeff_sp, pair, x) == distribution_invariance(coeff_s, coeff_sp, pair, x[None, :])
+
+
 def test_stack_rank_overflow():
     deep = coefficients([scalar(1.0, 3), SymTensor(3, 1, np.zeros(3)), SymTensor(3, 2, np.zeros(6)), SymTensor(3, 3, np.zeros(10))])
     with pytest.raises(ValueError):

@@ -361,7 +361,7 @@ def test_expand_inadmissible_sets_flag_and_warns():
     ids=["construct", "stack_coefficients", "reconstruct"],
 )
 def test_negative_max_rank_refused_at_construction(call):
-    with pytest.raises(ValueError, match="max_rank must be >= 0"):
+    with pytest.raises(ValueError, match="^max_rank must be >= 0, got -1$"):
         call()
 
 
@@ -544,15 +544,14 @@ def test_non_finite_coefficient_raises():
             project(f, 3, rule, f0=1e-300, vectorized=True)
 
 
-def test_truncation_error_propagates_a_nan_residual_sum():
-    # f0 / unit overflows, so the coefficients are silently 0 and the scaled series 0 * inf: the residual sum is
-    # NaN, and the errors must say so rather than read 0.0
+def test_overflowing_divisor_is_refused():
+    # f0 / unit overflows: the coefficients would all read 0.0 and the residual sum NaN, so both functions refuse
     def f(p):
         return 1e-300 * np.exp(-np.sum((p - 0.3) ** 2, axis=1))
 
-    with np.errstate(invalid="ignore"):
-        errors = truncation_error(f, 2, gauss_hermite_rule(12), f0=1e10, vectorized=True)
-    assert np.isnan(errors).all()
+    for project in (expand, truncation_error):
+        with pytest.raises(ArithmeticError, match=r"divisor 2\*\*m m! f0 overflows"):
+            project(f, 2, gauss_hermite_rule(12), f0=1e10, vectorized=True)
 
 
 def test_truncation_error_scales_bitwise_with_power_of_two():

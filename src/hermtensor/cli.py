@@ -151,8 +151,10 @@ def _check(name: str, value: float, tolerance: float, mode: str = "max") -> dict
     return {"check": name, "value": float(value), "tolerance": tolerance, "mode": mode, "pass": bool(ok)}
 
 
-def _coefficient_entry(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
+def _term(exponents, coefficient: Fraction) -> dict:
+    """One term of a symbolic table: an integer coefficient as a number, a fraction as its text."""
+    value = int(coefficient) if coefficient.denominator == 1 else str(coefficient)
+    return {"exponents": list(exponents), "coefficient": value}
 
 
 # --- commands -------------------------------------------------------------
@@ -171,14 +173,10 @@ def cmd_basis(args) -> tuple[dict, int]:
             raise ValueError("--symbolic and --point are mutually exclusive")
         _require_rank("basis_symbolic", args.rank)
         tensor = hermite_symbolic(args.rank, dim=3, convention=convention)[args.rank]
-        components = []
-        for idx in canonical_index_tuples(args.rank, 3):
-            poly = tensor[idx]
-            terms = [
-                {"exponents": list(e), "coefficient": _coefficient_entry(c)}
-                for e, c in poly.terms()
-            ]
-            components.append({"index": list(idx), "terms": terms})
+        components = [
+            {"index": list(idx), "terms": [_term(*term) for term in tensor[idx].terms()]}
+            for idx in canonical_index_tuples(args.rank, 3)
+        ]
     else:
         _require_rank("basis", args.rank)
         point = _parse_vector("--point", args.point) if args.point is not None else (0.0, 0.0, 0.0)
@@ -249,11 +247,9 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
     _require_order(rule, args.max_rank)
     rows = []
     for name, convention in (("physicist", PHYSICIST), ("probabilist", PROBABILIST)):
-        worst = 0.0
-        for m in range(args.max_rank + 1):
-            for n in range(args.max_rank + 1):
-                gram = ortho_matrix(m, n, rule, convention)
-                worst = np.maximum(worst, np.max(np.abs(gram - _expected_gram(m, n, convention))))
+        ranks = range(args.max_rank + 1)
+        grams = [(ortho_matrix(m, n, rule, convention), _expected_gram(m, n, convention)) for m in ranks for n in ranks]
+        worst = np.max([np.max(np.abs(gram - expected)) for gram, expected in grams])
         rows.append(_check(f"{name}-orthogonality", worst, 1e-8))
     config = {"max_rank": args.max_rank, "quad_order": args.quad_order}
     return config, rows
@@ -275,12 +271,8 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
         roundtrip_worst = np.maximum(roundtrip_worst, residual)
     unit = TranslationMap((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     rule = gauss_hermite_rule(args.quad_order)
-    broken = 0.0
-    for n in range(4):
-        for m in range(4):
-            if n != m:
-                gram = orthogonality_after_translation(n, m, unit, rule)
-                broken = np.maximum(broken, np.max(np.abs(gram)))
+    grams = [orthogonality_after_translation(n, m, unit, rule) for n in range(4) for m in range(4) if n != m]
+    broken = np.max([np.max(np.abs(gram)) for gram in grams])
     rows = [
         _check("binomial-identity", identity_worst, 1e-10),
         _check("roundtrip", roundtrip_worst, 1e-9),

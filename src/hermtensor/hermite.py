@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .symtensor import (
-    SymTensor, _axis_counts, _check_dim, _require_at_least, _require_positive, max_component_diff, scalar, sym_product,
+    SymTensor, _axis_counts, _check_dim, _read_points, _require_integer, _require_positive, max_component_diff, scalar,
+    sym_product,
 )
 
 __all__ = [
@@ -184,7 +185,7 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     from ``product_rows``.  Returns a list of SymTensor, one per rank.
     """
     _check_dim(dim)
-    _require_at_least("max_rank", max_rank)
+    _require_integer("max_rank", max_rank)
     comps = list(components)
     if len(comps) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(comps)}")
@@ -201,17 +202,18 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
 
 
 def hermite_phys(max_rank: int, z) -> BasisEvaluation:
-    """Physicist tensor Hermite polynomials H_0..H_max_rank at a 3-vector z."""
-    point = tuple(float(c) for c in z)
-    vals = evaluate_basis(max_rank, point, dim=len(point), convention=PHYSICIST)
-    return BasisEvaluation(PHYSICIST, max_rank, point, tuple(vals))
+    """Physicist tensor Hermite polynomials H_0..H_max_rank at a 3- or 6-vector z."""
+    return _basis(max_rank, z, PHYSICIST)
 
 
 def hermite_prob(max_rank: int, z) -> BasisEvaluation:
-    """Probabilist (Grad) tensor Hermite polynomials He_0..He_max_rank at z."""
-    point = tuple(float(c) for c in z)
-    vals = evaluate_basis(max_rank, point, dim=len(point), convention=PROBABILIST)
-    return BasisEvaluation(PROBABILIST, max_rank, point, tuple(vals))
+    """Probabilist (Grad) tensor Hermite polynomials He_0..He_max_rank at a 3- or 6-vector z."""
+    return _basis(max_rank, z, PROBABILIST)
+
+
+def _basis(max_rank: int, z, convention: HermiteConvention) -> BasisEvaluation:
+    point = tuple(_read_points("z", z, batch=False)[0][0].tolist())
+    return BasisEvaluation(convention, max_rank, point, tuple(evaluate_basis(max_rank, point, len(point), convention)))
 
 
 def hermite_symbolic(max_rank: int, dim: int = 3, convention=PHYSICIST):
@@ -240,7 +242,7 @@ def convert(basis: BasisEvaluation, target: HermiteConvention) -> BasisEvaluatio
 
 def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:
     """1-D h_0..h_max_n at x on a new leading axis: h_{k+1} = factor x h_k - factor k h_{k-1}."""
-    _require_at_least("max_n", max_n)
+    _require_integer("max_n", max_n)
     x = np.asarray(x, dtype=np.float64)
     table = np.empty((max_n + 1, *x.shape))
     table[0], table[1:2] = 1.0, factor * x
@@ -287,19 +289,17 @@ def grad_check(rank: int, z, h: float = 1e-5) -> float:
     right-hand side 2n sym_product(e_i, H_{n-1}); returns the largest
     absolute deviation over axes and components.
     """
-    _require_at_least("rank", rank, 1)
+    _require_integer("rank", rank, 1)
     _require_positive(h=h)
-    zs = np.asarray(z, dtype=np.float64)
+    zs = _read_points("z", z, batch=False)[0][0]
     dim = len(zs)
     lower = evaluate_basis(rank - 1, zs, dim=dim)[rank - 1]
     residuals = []
     for axis in range(dim):
-        offset = np.zeros(dim)
-        offset[axis] = h
-        plus = evaluate_basis(rank, zs + offset, dim=dim)[rank]
-        minus = evaluate_basis(rank, zs - offset, dim=dim)[rank]
+        e_axis = np.eye(dim)[axis]
+        plus = evaluate_basis(rank, zs + h * e_axis, dim=dim)[rank]
+        minus = evaluate_basis(rank, zs - h * e_axis, dim=dim)[rank]
         fd = (plus - minus) / (2.0 * h)
-        e_axis = SymTensor(dim, 1, [1.0 if a == axis else 0.0 for a in range(dim)])
-        rhs = (2 * rank) * sym_product(e_axis, lower)
+        rhs = (2 * rank) * sym_product(SymTensor(dim, 1, e_axis), lower)
         residuals.append(max_component_diff(fd, rhs))
     return float(np.max(residuals))

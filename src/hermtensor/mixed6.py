@@ -20,8 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series, reconstruct
-from .symtensor import SymTensor, _axis_counts, _count_positions, _frozen, _require_positive, max_component_diff, n_components
+from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series
+from .symtensor import (
+    SymTensor, _axis_counts, _count_positions, _frozen, _read_points, _require_positive, max_component_diff, n_components,
+)
 
 __all__ = [
     "BOLTZMANN",
@@ -101,7 +103,8 @@ class BlockRotation:
         return _frozen(np.kron([[self.y, self.y_prime], [self.y_prime, -self.y]], np.eye(3)))
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=np.float64)
+        """The rotated 6-vector x."""
+        return self.matrix @ _read_points("x", x, 6, batch=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,7 @@ class MixedPoint:
     frame: str
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) != 6:
-            raise ValueError("need exactly 6 coordinates")
+        coords = tuple(_read_points("coords", self.coords, 6, batch=False)[0][0].tolist())
         if self.frame not in _FRAMES:
             raise ValueError(f"frame must be one of {_FRAMES}")
         object.__setattr__(self, "coords", coords)
@@ -156,8 +157,8 @@ def from_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
 
 def species_point_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     """Nondimensionalize two physical velocities into the stacked frame."""
-    z_s = np.asarray(v_s, dtype=np.float64) * pair.z_scale(pair.m_s)
-    z_sp = np.asarray(v_sp, dtype=np.float64) * pair.z_scale(pair.m_sp)
+    z_s = _read_points("v_s", v_s, 3, batch=False)[0][0] * pair.z_scale(pair.m_s)
+    z_sp = _read_points("v_sp", v_sp, 3, batch=False)[0][0] * pair.z_scale(pair.m_sp)
     return MixedPoint.stack(z_sp, z_s, SPECIES_FRAME)
 
 
@@ -169,8 +170,8 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     route never touches the rotation matrix, so agreement with
     ``to_com_relative`` is a real consistency check.
     """
-    v_s = np.asarray(v_s, dtype=np.float64)
-    v_sp = np.asarray(v_sp, dtype=np.float64)
+    v_s = _read_points("v_s", v_s, 3, batch=False)[0][0]
+    v_sp = _read_points("v_sp", v_sp, 3, batch=False)[0][0]
     v_cm = (pair.m_s * v_s + pair.m_sp * v_sp) / pair.total_mass
     c = v_cm * pair.z_scale(pair.total_mass)
     g = (v_sp - v_s) * pair.z_scale(pair.reduced_mass)
@@ -178,24 +179,16 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
 
 
 def _points6(name: str, x, frame: str | None = None, batch: bool = True) -> tuple[np.ndarray, bool]:
-    """``x`` as (K, 6) float coordinates, and whether it was one point.
+    """``x`` as (K, 6) float coordinates, and whether it was one point, read by ``_read_points``.
 
     One point is a 6-vector or a MixedPoint, in ``frame`` when one is named; with ``batch``, a (K, 6) array
     or a list or tuple of points is K points.  Anything else raises ValueError naming ``name``.
     """
-    single = isinstance(x, MixedPoint)
-    rows = [x] if single else x
-    if isinstance(rows, (list, tuple)):
-        rows = [_frame_coords(p, frame) if isinstance(p, MixedPoint) else p for p in rows]
-    try:
-        shape = (pts := np.asarray(rows, dtype=np.float64)).shape
-    except (TypeError, ValueError):  # ragged, or not numbers
-        shape = None
-    single = single or shape == (6,)
-    if not (single or batch and (shape == (0,) or shape is not None and shape[1:] == (6,))):
-        kind = "a 6-vector or MixedPoint" + (", or a (K, 6) batch of them" if batch else "")
-        raise ValueError(f"{name} must be {kind}, got {'ragged or non-numeric input' if shape is None else f'shape {shape}'}")
-    return pts.reshape(-1, 6), single
+    if isinstance(x, MixedPoint):
+        x = _frame_coords(x, frame)
+    elif isinstance(x, (list, tuple)):
+        x = [_frame_coords(p, frame) if isinstance(p, MixedPoint) else p for p in x]
+    return _read_points(name, x, 6, batch, "6-vector or MixedPoint")
 
 
 def mixed_hermite(N: int, x) -> list[SymTensor]:
@@ -263,8 +256,7 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
     """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a batch of them."""
     _require_rank("mixed", len(alphas) - 1)
-    pts, single = _points6("x", x)
-    return _series(alphas, f0, pts[0] if single else pts, 6)
+    return _series(alphas, f0, *_points6("x", x))
 
 
 def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, points):
@@ -272,9 +264,13 @@ def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoef
 
     Points are as for ``mixed_reconstruct``, but a MixedPoint must be in the species frame.
     """
-    coords, single = _points6("points", points, SPECIES_FRAME)
-    values = reconstruct(coeff_s, coords[:, 3:]) * reconstruct(coeff_sp, coords[:, :3])
-    return float(values[0]) if single else values
+    return _product(coeff_s, coeff_sp, *_points6("points", points, SPECIES_FRAME))
+
+
+def _product(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, coords: np.ndarray, single: bool = False):
+    """Both species' series multiplied at (K, 6) species-frame coordinates (primed upper); a float if ``single``."""
+    primed = _series(coeff_sp.coeffs, coeff_sp.f0, coords[:, :3], single)
+    return _series(coeff_s.coeffs, coeff_s.f0, coords[:, 3:], single) * primed
 
 
 def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients, pair: SpeciesPair, points) -> float:
@@ -289,6 +285,6 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     coords = _points6("points", points, SPECIES_FRAME)[0]
     rot = BlockRotation.from_pair(pair)
     betas = rotate_coefficients(stack_coefficients(coeff_s, coeff_sp), rot)
-    direct = product_distribution(coeff_s, coeff_sp, coords)
-    rotated = mixed_reconstruct(betas, coords @ rot.matrix.T, coeff_s.f0 * coeff_sp.f0)
+    direct = _product(coeff_s, coeff_sp, coords)
+    rotated = _series(betas, coeff_s.f0 * coeff_sp.f0, coords @ rot.matrix.T, False)
     return float(np.max(np.abs(direct - rotated), initial=0.0))

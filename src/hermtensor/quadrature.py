@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import PHYSICIST, _hermite_table
-from .symtensor import SymTensor, _axis_counts, _frozen, _require_at_least, _require_positive, multiplicity_vector
+from .symtensor import (
+    SymTensor, _axis_counts, _frozen, _read_points, _require_integer, _require_positive, multiplicity_vector,
+)
 
 __all__ = [
     "AdmissibilityResult",
@@ -64,10 +66,10 @@ class NonFiniteIntegrandError(ArithmeticError):
 class QuadratureRule:
     """1-D Gauss-Hermite nodes and weights, tensorized on demand.
 
-    A rule keeps read-only copies of its ``order`` nodes and weights (other
-    lengths raise ``ValueError``), and builds each table on them once, on
-    first use, read-only; a hand-built rule has tables of its own.  Rules
-    compare and hash by identity.
+    A rule of integer ``order`` >= 1 keeps read-only copies of its ``order``
+    nodes and weights (other lengths raise ``ValueError``), and builds each
+    table on them once, on first use, read-only; a hand-built rule has
+    tables of its own.  Rules compare and hash by identity.
     """
 
     order: int
@@ -76,6 +78,7 @@ class QuadratureRule:
     _grid: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        _require_integer("order", self.order, 1)
         for name in ("nodes", "weights"):  # copies, so a caller's writes cannot move the nodes under the tables
             value = _frozen(np.array(getattr(self, name), dtype=np.float64))
             if value.shape != (self.order,):
@@ -83,7 +86,7 @@ class QuadratureRule:
             object.__setattr__(self, name, value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 is refused, never served from the entry of 4
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Rule of the given order for the weight exp(-x**2).
 
@@ -91,8 +94,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     polynomial; with n nodes, polynomials through degree 2n-1 integrate
     exactly.  Rules are cached per order; their arrays are read-only.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be within 1..{MAX_ORDER}, got {order}")
+    _require_integer("order", order, 1, MAX_ORDER)
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     return QuadratureRule(order, nodes, weights)
 
@@ -106,9 +108,7 @@ _RANK_CAPS = {
 
 
 def _require_rank(name: str, rank: int, low: int = 0) -> None:
-    top = _RANK_CAPS[name]
-    if not low <= rank <= top:
-        raise ValueError(f"{name} supports ranks {low}..{top}, got {rank}")
+    _require_integer(f"{name} rank", rank, low, _RANK_CAPS[name])
 
 
 def _finite_vector3(name: str, value) -> tuple[float, float, float]:
@@ -124,7 +124,7 @@ def _finite_vector3(name: str, value) -> tuple[float, float, float]:
 
 def _require_order(rule: QuadratureRule, rank: int) -> None:
     """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
-    _require_at_least("rank", rank)
+    _require_integer("rank", rank)
     if rule.order < 2 * rank + 2:
         raise ValueError(f"rule order {rule.order} insufficient for rank {rank}; need >= {2 * rank + 2}")
 
@@ -186,10 +186,12 @@ def _sample(f, rule: QuadratureRule, vectorized: bool) -> np.ndarray:
     return np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
 
 
-def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise NonFiniteIntegrandError(points[int(np.argmax(bad))])
+def _require_finite(values: np.ndarray, points: np.ndarray) -> float:
+    """max |values|; NonFiniteIntegrandError at the first point whose value is nan or inf."""
+    peak = float(np.max(np.abs(values)))
+    if not peak < math.inf:  # a finite sample pays this one reduction, no search
+        raise NonFiniteIntegrandError(points[int(np.argmax(~np.isfinite(values)))])
+    return peak
 
 
 def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
@@ -225,7 +227,8 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
     same nodes by the substitution z = sqrt(2) x.  Shape is (#components(m),
     #components(n)); each entry is a product of three 1-D sums.
     """
-    _require_rank("ortho_matrix", max(m_rank, n_rank))
+    _require_rank("ortho_matrix", m_rank)
+    _require_rank("ortho_matrix", n_rank)
     return _gram(m_rank, n_rank, rule, convention)
 
 
@@ -250,14 +253,16 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
 def _probe(f, rule: QuadratureRule, vectorized: bool) -> tuple[AdmissibilityResult, float, np.ndarray]:
     """Sample f once on the rule's grid and once on the doubled one, and probe: (result, divisor, coarse values).
 
-    The divisor is the power of two at or below max |f| over both samples (1.0 if none is safe), exact, so a
-    constant factor of f (the density) cannot overflow the squares.  Each sum is sum_ijk W_i W_j W_k s_ijk**2,
-    s the scaled f and W = w exp(2 x**2) the rule's 1-D table: the moment contraction of s**2 against the one-row
-    table W.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled sum stays below 1e150.
+    A sample that is not finite raises NonFiniteIntegrandError at its first such node, before any verdict.
+    The divisor is the power of two at or below max |f| over both samples (1.0 if max |f| is not a normal
+    float), exact, so a constant factor of f (the density) cannot overflow the squares.  Each sum is
+    sum_ijk W_i W_j W_k s_ijk**2, s the scaled f and W = w exp(2 x**2) the rule's 1-D table: the moment
+    contraction of s**2 against the one-row table W.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled
+    sum stays below 1e150.
     """
     samples = [(r, _sample(f, r, vectorized)) for r in (rule, _doubled_rule(rule))]
-    peak = max(float(np.max(np.abs(values))) for _, values in samples)
-    unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak < math.inf else 1.0
+    peak = max(_require_finite(values, grid_points(r)) for r, values in samples)
+    unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak else 1.0
 
     def total(r, values):
         w = _cached(r, "probe", lambda: r.weights * np.exp(2.0 * r.nodes**2))
@@ -279,7 +284,7 @@ class ExpansionCoefficients:
     admissible: bool = True
 
     def __post_init__(self):
-        _require_at_least("max_rank", self.max_rank)
+        _require_integer("max_rank", self.max_rank)
         if len(self.coeffs) != self.max_rank + 1:
             raise ValueError("need one coefficient tensor per rank 0..max_rank")
         for n, c in enumerate(self.coeffs):
@@ -339,7 +344,6 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     if not check.admissible:
         # attributed to the caller of expand or truncation_error
         warnings.warn("distribution failed the weighted-L2 stability probe; coefficients are unreliable", stacklevel=3)
-    _require_finite(values, grid_points(rule))
     # w g H_m,i factorizes over the axes, so its grid sum is a moment of f against one 1-D table; f in units of
     # the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
     table = _cached(rule, ("fold", max_rank), lambda: _axis_table(rule, max_rank) * (rule.weights * np.exp(rule.nodes**2)))
@@ -377,15 +381,13 @@ def _series_plan(top: int, dim: int):
     return (len(rows), top + 1), _frozen(scatter), _frozen(multiplicities), tuple(folds)
 
 
-def _series(tensors, f0: float, z, dim: int):
-    """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for dim-D tensors a_0..a_N, at one point (a float) or a (K, dim) batch.
+def _series(tensors, f0: float, pts: np.ndarray, single: bool):
+    """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for d-D tensors a_0..a_N at (K, d) points; a float if ``single``.
 
     Summed over h_0..h_N at the coordinates, a matmul for the last axis and a fold for each other axis:
     no basis row is built, and no intermediate outgrows (components, K).
     """
-    pts = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"points must be one {dim}-vector or a (K, {dim}) array, got shape {np.shape(z)}")
+    dim = pts.shape[1]
     if any(t.dim != dim or t.rank != n for n, t in enumerate(tensors)):
         raise ValueError(f"series terms must be {dim}-D tensors of ranks 0, 1, 2, ... in order")
     shape, scatter, multiplicities, folds = _series_plan(len(tensors) - 1, dim)
@@ -401,12 +403,12 @@ def _series(tensors, f0: float, z, dim: int):
             out[:size] += partial[lo : lo + size]
         partial = out if gather is None else out[gather]
     out = f0 * np.exp(-np.sum(coords**2, axis=0)) * partial[0]
-    return float(out[0]) if np.ndim(z) == 1 else out
+    return float(out[0]) if single else out
 
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
-    """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one point or a batch, axis by axis."""
-    return _series(coeffs.coeffs, coeffs.f0, z, 3)
+    """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one 3-vector (a float) or a (K, 3) batch, axis by axis."""
+    return _series(coeffs.coeffs, coeffs.f0, *_read_points("z", z, 3))
 
 
 def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorized: bool = False) -> np.ndarray:
@@ -466,7 +468,7 @@ class WeightSpec:
         return self.z_of_v(self.v_av)
 
     def weight_z(self, z):
-        """Weight per unit dimensionless velocity volume."""
-        pts = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        """Weight per unit dimensionless velocity volume at one 3-vector (a float) or a (K, 3) batch."""
+        pts, single = _read_points("z", z, 3)
         out = self.density * math.pi ** (-1.5) * np.exp(-np.sum((pts - self.z_av) ** 2, axis=1))
-        return float(out[0]) if np.asarray(z).ndim == 1 else out
+        return float(out[0]) if single else out

@@ -10,8 +10,8 @@ axis appears in each tuple); a symmetrized product is one unbuffered
 scatter-add over a flat split plan built once per rank pair from them.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
-ranks and degrees, and positive scalars, each refused with a ValueError
-that names the parameter.
+ranks, degrees and orders, positive scalars, and points (one d-vector or a
+(K, d) batch), each refused with a ValueError that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,13 +56,41 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
 
 
-def _require_at_least(name: str, value: int, low: int = 0) -> None:
-    """Refuse an integer parameter (a rank, a degree) below ``low``, naming it.
+def _require_integer(name: str, value: int, low: int = 0, high: int | None = None) -> None:
+    """Refuse an integer parameter (a rank, a degree, an order) that is not an integer within low..high, naming it.
 
-    Plain positional calls, no keyword dict: every SymTensor construction runs one.
+    An integer has ``__index__`` (int, np.int64); a float, np.float64 or str does not.  Plain positional
+    calls, no keyword dict: every SymTensor construction runs one, through n_components.
     """
-    if not value >= low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+    try:
+        if low <= operator.index(value) and (high is None or value <= high):
+            return
+    except TypeError:
+        pass
+    bound = f">= {low}" if high is None else f"within {low}..{high}"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _read_points(name: str, x, dim: int | None = None, batch: bool = True, vector: str = "") -> tuple[np.ndarray, bool]:
+    """``x`` as (K, d) float64 coordinates, and whether it was one point (a d-vector).
+
+    With ``batch``, a (K, d) array or an empty list is K points.  With no ``dim`` a point is a d-vector
+    for d = 3 or 6, and a vector of another length is refused as a dimension.  Anything else (another
+    shape, ragged or non-numeric input) raises one ValueError naming ``name`` and what one point is,
+    ``vector`` or a d-vector.  A float64 (K, d) array is read, not copied.
+    """
+    try:
+        shape = (pts := np.asarray(x, dtype=np.float64)).shape
+    except (TypeError, ValueError):  # ragged, or not numbers
+        shape = None
+    if dim is None and shape is not None and len(shape) == 1:
+        _check_dim(dim := shape[0])
+    single = shape == (dim,)
+    if not (single or batch and (shape == (0,) or shape is not None and shape[1:] == (dim,))):
+        vector = vector or (f"{dim}-vector" if dim else " or ".join(f"{d}-vector" for d in SUPPORTED_DIMS))
+        kind = f"a {vector}" + (f", or a (K, {dim}) batch of them" if batch else "")
+        raise ValueError(f"{name} must be {kind}, got {'ragged or non-numeric input' if shape is None else f'shape {shape}'}")
+    return pts.reshape(-1, dim), single
 
 
 def _require_positive(**named: float) -> None:
@@ -103,14 +132,15 @@ def canonicalize(indices, dim: int) -> MultiIndex:
 
 def n_components(rank: int, dim: int) -> int:
     """Number of independent components of a symmetric rank-``rank`` tensor."""
+    _require_integer("rank", rank)
     return math.comb(rank + dim - 1, dim - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is refused, never served from the entry of 2
 def canonical_index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
     """All canonical index tuples of the given rank, in lexicographic order."""
     _check_dim(dim)
-    _require_at_least("rank", rank)
+    _require_integer("rank", rank)
     return tuple(itertools.combinations_with_replacement(range(dim), rank))
 
 
@@ -145,7 +175,7 @@ def multiplicity(index) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def multiplicity_vector(rank: int, dim: int) -> np.ndarray:
     return _frozen(np.array([multiplicity(t) for t in canonical_index_tuples(rank, dim)], dtype=np.float64))
 
@@ -177,12 +207,12 @@ class SymTensor:
 
     def __init__(self, dim: int, rank: int, components):
         _check_dim(dim)
-        _require_at_least("rank", rank)
+        size = n_components(rank, dim)  # refuses the rank
         is_float = isinstance(components, np.ndarray) and components.dtype == np.float64
         arr = components if is_float else _component_array(components)
-        if arr.shape != (n_components(rank, dim),):
+        if arr.shape != (size,):
             raise ValueError(
-                f"expected one scalar per canonical tuple, {n_components(rank, dim)} for rank {rank}, dim {dim};"
+                f"expected one scalar per canonical tuple, {size} for rank {rank}, dim {dim};"
                 f" got components of shape {arr.shape}"
             )
         if arr.flags.writeable:
@@ -218,7 +248,7 @@ class SymTensor:
     def to_dense(self) -> np.ndarray:
         """Expand to a dense ``(dim,)*rank`` float array."""
         if self.data.dtype == object:
-            raise TypeError("to_dense requires numeric components")
+            raise ValueError("to_dense requires numeric components")
         if self.rank == 0:
             return np.asarray(self.data[0])
         return self.data[_dense_positions(self.rank, self.dim)].astype(np.float64, copy=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hermite import hermite_phys
 from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_rank
-from .symtensor import SymTensor, _require_positive, max_component_diff, outer_power, sym_product
+from .symtensor import SymTensor, _read_points, _require_positive, max_component_diff, outer_power, sym_product
 
 __all__ = [
     "ProbeResult",
@@ -54,7 +54,10 @@ class ScalingMap:
         object.__setattr__(self, "z0", _finite_vector3("z0", self.z0))
 
     def apply(self, z) -> np.ndarray:
-        return self.alpha * (np.asarray(z, dtype=np.float64) - np.asarray(self.z0))
+        """z' at one 3-vector (a 3-vector) or a (K, 3) batch (a batch)."""
+        pts, single = _read_points("z", z, 3)
+        out = self.alpha * (pts - np.asarray(self.z0))
+        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -158,29 +161,27 @@ def translate_basis(rank: int, tmap: TranslationMap, direction: str) -> list[Tra
 
 def assemble_translation(terms, partner_values) -> SymTensor:
     """Sum C(n,p) sym_product(partner[p], shift^(n-p)) over the term list."""
-    total = None
-    for term in terms:
-        piece = term.binom * sym_product(partner_values[term.partner_rank], term.shift_power)
-        total = piece if total is None else total + piece
-    return total
+    pieces = [term.binom * sym_product(partner_values[term.partner_rank], term.shift_power) for term in terms]
+    return sum(pieces[1:], pieces[0])  # left to right from the first term
 
 
 def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> SymTensor:
-    """Evaluate one frame's H_rank at z going through the other frame's basis."""
+    """Evaluate one frame's H_rank at a 3-vector z going through the other frame's basis."""
+    terms = translate_basis(rank, tmap, direction)
     center = tmap.za if direction == TO_CENTERED else tmap.z00
-    partner = hermite_phys(rank, np.asarray(z, dtype=np.float64) - np.asarray(center))
-    return assemble_translation(translate_basis(rank, tmap, direction), partner.values)
+    partner = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(center))
+    return assemble_translation(terms, partner.values)
 
 
 def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
-    """Residual of translating rank 0..rank forward and back at one point."""
+    """Residual of translating rank 0..rank forward and back at a 3-vector z."""
     _require_rank("translation_roundtrip", rank)
     return _roundtrip(rank, tmap, z)[1]
 
 
 def _roundtrip(rank: int, tmap: TranslationMap, z) -> tuple[list[SymTensor], float]:
     """H_0..H_rank at z - z00 assembled from the frame at za ("r->0"), and the residual of translating them back."""
-    original = hermite_phys(rank, np.asarray(z, dtype=np.float64) - np.asarray(tmap.za)).values
+    original = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(tmap.za)).values
     forward = [assemble_translation(translate_basis(k, tmap, TO_CENTERED), original) for k in range(rank + 1)]
     back = [assemble_translation(translate_basis(k, tmap, TO_AVERAGE), forward) for k in range(rank + 1)]
     return forward, float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))

@@ -1,9 +1,11 @@
 """Every rank cap and input guard in one table each: each refuses what is out of range the same way.
 
-The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters and the
-dimension (``_require_at_least``, ``_check_dim``), and 6-D points (the ``mixed6`` point reader).  Each refusal is a
-``ValueError`` naming the parameter.
+The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
+dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``; every integer entry also
+refuses a float, an np.float64 and a str, and takes an np.int64), points (the point reader ``_read_points``),
+and 6-D points (the ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
 """
+import functools
 import io
 import math
 import re
@@ -13,30 +15,55 @@ import numpy as np
 import pytest
 
 from hermtensor.cli import main
-from hermtensor.hermite import _hermite_table, evaluate_basis, grad_check
+from hermtensor.hermite import (
+    PolyScalar,
+    _hermite_table,
+    evaluate_basis,
+    grad_check,
+    hermite_1d,
+    hermite_phys,
+    hermite_prob,
+    hermite_symbolic,
+    product_rows,
+)
 from hermtensor.mixed6 import (
     MAX_MIXED_RANK,
+    SPECIES_FRAME,
     BlockRotation,
+    MixedPoint,
     SpeciesPair,
+    com_relative_from_velocities,
     distribution_invariance,
     equivariance_residual,
     mixed_hermite,
     mixed_reconstruct,
     product_distribution,
     rotate_rank_n,
+    species_point_from_velocities,
     stack_coefficients,
 )
 from hermtensor.quadrature import (
     _RANK_CAPS,
     ATOMIC_MASS,
     ExpansionCoefficients,
+    QuadratureRule,
     WeightSpec,
     expand,
     gauss_hermite_rule,
     ortho_matrix,
     truncation_error,
 )
-from hermtensor.symtensor import SymTensor, canonical_index_tuples, n_components, outer_power
+from hermtensor.symtensor import (
+    MultiIndex,
+    SymTensor,
+    canonical_index_tuples,
+    max_component_diff,
+    multiplicity_vector,
+    n_components,
+    outer_power,
+    perm_delta,
+    sym_product,
+)
 from hermtensor.transforms import (
     TO_CENTERED,
     ScalingMap,
@@ -46,6 +73,7 @@ from hermtensor.transforms import (
     scaling_admissible,
     temperature_window,
     translate_basis,
+    translated_hermite,
     translation_roundtrip,
 )
 
@@ -98,7 +126,7 @@ def test_every_cap_is_exercised():
 def test_library_cap_accepts_top_and_refuses_next(entry, reader):
     call, top = LIBRARY[entry, reader], _RANK_CAPS[entry]
     call(top)
-    with pytest.raises(ValueError, match=re.escape(f"{entry} supports ranks 0..{top}, got {top + 1}")):
+    with pytest.raises(ValueError, match=re.escape(f"{entry} rank must be an integer within 0..{top}, got {top + 1}")):
         call(top + 1)
 
 
@@ -116,7 +144,7 @@ def test_cli_cap_accepts_top_and_refuses_next(entry, capsys):
     capsys.readouterr()
     for rank in (low - 1, top + 1):
         assert invoke(entry, rank) == (2, "")
-        assert capsys.readouterr().err == f"error: {entry} supports ranks {low}..{top}, got {rank}\n"
+        assert capsys.readouterr().err == f"error: {entry} rank must be an integer within {low}..{top}, got {rank}\n"
 
 
 def maxwellian(points):
@@ -173,23 +201,90 @@ def test_positive_guard_names_the_parameter(entry, parameter, value):
 
 
 Z = (0.3, -0.1, 0.5)
+RULE = gauss_hermite_rule(8)
 
-# entry -> (a call with one integer input, the dimension or the step out of range and every other input
-# admissible, the refusal); outer_power's power is the rank of its result.  _require_order and
-# ExpansionCoefficients refused with this wording already: test_negative_ranks_are_refused and
-# test_negative_max_rank_refused_at_construction pin them
+# entry -> (a call with one input refused and every other input admissible, the refusal): an integer, the
+# dimension or the step out of range, or an input of the wrong shape or kind; outer_power's power is the rank of
+# its result.  _require_order's refusal is pinned by test_negative_ranks_are_refused
 INTEGER = {
-    "canonical_index_tuples": (lambda: canonical_index_tuples(-1, 3), "rank must be >= 0, got -1"),
-    "SymTensor": (lambda: SymTensor(3, -1, []), "rank must be >= 0, got -1"),
-    "outer_power": (lambda: outer_power(np.ones(3), -1), "rank must be >= 0, got -1"),
-    "evaluate_basis": (lambda: evaluate_basis(-1, Z), "max_rank must be >= 0, got -1"),
+    "canonical_index_tuples": (lambda: canonical_index_tuples(-1, 3), "rank must be an integer >= 0, got -1"),
+    "canonical_index_tuples 2.0 after 2": (
+        lambda: (canonical_index_tuples(2, 3), canonical_index_tuples(2.0, 3)), "rank must be an integer >= 0, got 2.0"
+    ),
+    "n_components": (lambda: n_components(-1, 3), "rank must be an integer >= 0, got -1"),
+    "SymTensor": (lambda: SymTensor(3, -1, []), "rank must be an integer >= 0, got -1"),
+    "outer_power": (lambda: outer_power(np.ones(3), -1), "rank must be an integer >= 0, got -1"),
+    "evaluate_basis": (lambda: evaluate_basis(-1, Z), "max_rank must be an integer >= 0, got -1"),
     "evaluate_basis dim": (lambda: evaluate_basis(2, (*Z, 0.0), dim=4), "dimension must be one of (3, 6), got 4"),
-    "_hermite_table": (lambda: _hermite_table(-1, 0.5), "max_n must be >= 0, got -1"),
-    "grad_check": (lambda: grad_check(-1, Z), "rank must be >= 1, got -1"),
-    "grad_check rank 0": (lambda: grad_check(0, Z), "rank must be >= 1, got 0"),
+    "evaluate_basis coordinates": (lambda: evaluate_basis(2, Z[:2]), "expected 3 coordinates, got 2"),
+    "_hermite_table": (lambda: _hermite_table(-1, 0.5), "max_n must be an integer >= 0, got -1"),
+    "grad_check": (lambda: grad_check(-1, Z), "rank must be an integer >= 1, got -1"),
+    "grad_check rank 0": (lambda: grad_check(0, Z), "rank must be an integer >= 1, got 0"),
     "grad_check dim": (lambda: grad_check(2, (*Z, 0.0)), "dimension must be one of (3, 6), got 4"),
     "grad_check h": (lambda: grad_check(2, Z, h=0.0), "h must be finite and positive, got 0.0"),
+    "gauss_hermite_rule": (lambda: gauss_hermite_rule(65), "order must be an integer within 1..64, got 65"),
+    "QuadratureRule": (lambda: QuadratureRule(0, [], []), "order must be an integer >= 1, got 0"),
+    "ExpansionCoefficients count": (
+        lambda: ExpansionCoefficients(1, (zeros(3, 0),)), "need one coefficient tensor per rank 0..max_rank"
+    ),
+    "ExpansionCoefficients rank": (
+        lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(3, 2))), "coefficient 1 has wrong rank or dim"
+    ),
+    "ExpansionCoefficients dim": (
+        lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(6, 1))), "coefficient 1 has wrong rank or dim"
+    ),
+    "expand vectorized": (
+        lambda: expand(lambda p: np.zeros(3), 1, RULE, vectorized=True), "vectorized integrand must return one value per point"
+    ),
+    "SymTensor index rank": (lambda: zeros(3, 2)[(0,)], "index of rank 1 for rank-2 tensor"),
+    "SymTensor index label": (lambda: zeros(3, 2)[(0, 5)], "axis labels out of range for dim 3: (0, 5)"),
+    "SymTensor MultiIndex": (lambda: zeros(3, 2)[MultiIndex((1,), 3)], "index of rank 1 for rank-2 tensor"),
+    "SymTensor + rank": (lambda: zeros(3, 1) + zeros(3, 2), "rank/dim mismatch"),
+    "SymTensor - dim": (lambda: zeros(3, 1) - zeros(6, 1), "rank/dim mismatch"),
+    "sym_product dim": (lambda: sym_product(zeros(3, 1), zeros(6, 1)), "dim mismatch"),
+    "perm_delta": (lambda: perm_delta((0, 1), (0,)), "index ranks differ"),
+    "max_component_diff": (lambda: max_component_diff(zeros(3, 1), zeros(3, 2)), "rank/dim mismatch"),
+    "from_dense": (lambda: SymTensor.from_dense(np.zeros((3, 2))), "dense array must be hypercubic"),
+    "to_dense exact": (lambda: hermite_symbolic(1)[1].to_dense(), "to_dense requires numeric components"),
+    "product_rows": (lambda: product_rows(2, np.zeros(3)), "points must have shape (K, d)"),
+    "PolyScalar": (lambda: PolyScalar.variable(3, 0) + PolyScalar.variable(6, 0), "dimension mismatch"),
 }
+
+# entry -> (a call with its integer parameter set to the given value and every other input admissible at 2, the
+# parameter and the bound its refusal names)
+INTEGER_PARAMETERS = {
+    "canonical_index_tuples": (lambda v: canonical_index_tuples(v, 3), "rank", ">= 0"),
+    "n_components": (lambda v: n_components(v, 3), "rank", ">= 0"),
+    "multiplicity_vector": (lambda v: multiplicity_vector(v, 3), "rank", ">= 0"),
+    "SymTensor": (lambda v: SymTensor(3, v, np.zeros(6)), "rank", ">= 0"),
+    "outer_power": (lambda v: outer_power(np.ones(3), v), "rank", ">= 0"),
+    "evaluate_basis": (lambda v: evaluate_basis(v, Z), "max_rank", ">= 0"),
+    "hermite_phys": (lambda v: hermite_phys(v, Z), "max_rank", ">= 0"),
+    "hermite_prob": (lambda v: hermite_prob(v, Z), "max_rank", ">= 0"),
+    "hermite_symbolic": (lambda v: hermite_symbolic(v), "max_rank", ">= 0"),
+    "hermite_1d": (lambda v: hermite_1d(v, 0.3), "max_n", ">= 0"),
+    "product_rows": (lambda v: product_rows(v, np.zeros((1, 3))), "max_n", ">= 0"),
+    "grad_check": (lambda v: grad_check(v, Z), "rank", ">= 1"),
+    "gauss_hermite_rule": (lambda v: gauss_hermite_rule(v), "order", "within 1..64"),
+    "QuadratureRule": (lambda v: QuadratureRule(v, gauss_hermite_rule(2).nodes, gauss_hermite_rule(2).weights), "order", ">= 1"),
+    "ortho_matrix": (lambda v: ortho_matrix(v, 1, RULE), "ortho_matrix rank", "within 0..4"),
+    "orthogonality_after_translation": (lambda v: orthogonality_after_translation(v, 1, TMAP, RULE), "rank", ">= 0"),
+    "expand": (lambda v: expand(maxwellian, v, RULE, vectorized=True), "rank", ">= 0"),
+    "truncation_error": (lambda v: truncation_error(maxwellian, v, RULE, vectorized=True), "rank", ">= 0"),
+    "ExpansionCoefficients": (lambda v: ExpansionCoefficients(v, tuple(zeros(3, n) for n in range(3))), "max_rank", ">= 0"),
+    "translate_basis": (lambda v: translate_basis(v, TMAP, TO_CENTERED), "translate_basis rank", "within 0..6"),
+    "translated_hermite": (lambda v: translated_hermite(v, TMAP, TO_CENTERED, Z), "translate_basis rank", "within 0..6"),
+    "translation_roundtrip": (lambda v: translation_roundtrip(v, TMAP, Z), "translation_roundtrip rank", "within 0..5"),
+    "mixed_hermite": (lambda v: mixed_hermite(v, np.zeros(6)), "mixed rank", "within 0..4"),
+    "equivariance_residual": (lambda v: equivariance_residual(v, np.zeros(6), PAIR), "mixed rank", "within 0..4"),
+}
+
+# an integer parameter refuses 1.5, and each twin of 2 that has no __index__
+INTEGER.update(
+    (f"{entry} {value!r}", (functools.partial(call, value), f"{name} must be an integer {bound}, got {value!r}"))
+    for entry, (call, name, bound) in INTEGER_PARAMETERS.items()
+    for value in (1.5, 2.0, np.float64(2.0), "2")
+)
 
 
 @pytest.mark.parametrize("entry", sorted(INTEGER))
@@ -197,6 +292,57 @@ def test_integer_guard_names_the_parameter(entry):
     call, message = INTEGER[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_take_numpy_integers(entry):
+    INTEGER_PARAMETERS[entry][0](np.int64(2))
+
+
+# inputs that are no array of points at all: a ragged list and the text of a point
+NOT_POINTS = {"ragged": [[0.1, 0.2, 0.3], [0.1, 0.2]], "text": "0.1,0.2,0.3"}
+
+
+def bad_points(shape):
+    """The input ``shape`` names (zeros of that shape, or one of NOT_POINTS) and how a refusal describes it."""
+    if shape in NOT_POINTS:
+        return NOT_POINTS[shape], "ragged or non-numeric input"
+    return np.zeros(shape), f"shape {shape}"
+
+
+BATCH3 = "a 3-vector, or a (K, 3) batch of them"
+
+# entry -> (a call at the given points, the parameter it names, what it takes); reconstruct's shape test is
+# test_reconstruct_refuses_points_of_the_wrong_shape, the 6-D entries' is below
+POINTS = {
+    "translated_hermite": (lambda x: translated_hermite(2, TMAP, TO_CENTERED, x), "z", "a 3-vector"),
+    "translation_roundtrip": (lambda x: translation_roundtrip(2, TMAP, x), "z", "a 3-vector"),
+    "hermite_phys": (lambda x: hermite_phys(2, x), "z", "a 3-vector or 6-vector"),
+    "hermite_prob": (lambda x: hermite_prob(2, x), "z", "a 3-vector or 6-vector"),
+    "grad_check": (lambda x: grad_check(2, x), "z", "a 3-vector or 6-vector"),
+    "ScalingMap.apply": (lambda x: ScalingMap(1.5).apply(x), "z", BATCH3),
+    "WeightSpec.weight_z": (lambda x: WeightSpec(1.0, 28 * ATOMIC_MASS, 300.0).weight_z(x), "z", BATCH3),
+    "MixedPoint": (lambda x: MixedPoint(x, SPECIES_FRAME), "coords", "a 6-vector"),
+    "BlockRotation.apply": (lambda x: BlockRotation.from_pair(PAIR).apply(x), "x", "a 6-vector"),
+    "species_point_from_velocities v_s": (lambda x: species_point_from_velocities(PAIR, x, Z), "v_s", "a 3-vector"),
+    "species_point_from_velocities v_sp": (lambda x: species_point_from_velocities(PAIR, Z, x), "v_sp", "a 3-vector"),
+    "com_relative_from_velocities v_s": (lambda x: com_relative_from_velocities(PAIR, x, Z), "v_s", "a 3-vector"),
+    "com_relative_from_velocities v_sp": (lambda x: com_relative_from_velocities(PAIR, Z, x), "v_sp", "a 3-vector"),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (6, 6, 1), "ragged", "text"], ids=str)
+@pytest.mark.parametrize("entry", sorted(POINTS))
+def test_point_guard_names_the_parameter(entry, shape):
+    call, name, kind = POINTS[entry]
+    x, got = bad_points(shape)
+    if shape == (2, 3) and kind == BATCH3:
+        assert len(call(x)) == 2  # two 3-D points
+        return
+    # a 1-D point of an unsupported length is refused as a dimension
+    message = "dimension must be one of (3, 6), got 2" if shape == (2,) and "or 6" in kind else f"{name} must be {kind}, got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(x)
 
 
 # entry -> (a call at the given 6-D points, the parameter it names, whether it takes a batch)
@@ -209,10 +355,11 @@ POINTS6 = {
 }
 
 
-@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (6, 6, 1)], ids=str)
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (6, 6, 1), (2,), (2, 3), "ragged", "text"], ids=str)
 @pytest.mark.parametrize("entry", sorted(POINTS6))
 def test_6d_point_guard_names_the_parameter(entry, shape):
     call, name, batch = POINTS6[entry]
+    x, got = bad_points(shape)
     kind = "a 6-vector or MixedPoint" + (", or a (K, 6) batch of them" if batch else "")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}, got shape {shape}')}$"):
-        call(np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}, got {got}')}$"):
+        call(x)

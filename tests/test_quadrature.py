@@ -361,7 +361,7 @@ def test_expand_inadmissible_sets_flag_and_warns():
     ids=["construct", "stack_coefficients", "reconstruct"],
 )
 def test_negative_max_rank_refused_at_construction(call):
-    with pytest.raises(ValueError, match="^max_rank must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match="^max_rank must be an integer >= 0, got -1$"):
         call()
 
 
@@ -373,11 +373,15 @@ def test_reconstruct_single_point_matches_batch():
         assert reconstruct(coeffs, pts[k]) == pytest.approx(float(batch[k]), rel=1e-14)
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 1), (1, 1, 3), (2, 2), (), (4,)], ids=str)
+# inputs that are no array of points at all: a ragged list and the text of a point
+NOT_POINTS = {"ragged": [[0.1, 0.2, 0.3], [0.1, 0.2]], "text": "0.1,0.2,0.3"}
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (1, 1, 3), (2, 2), (), (4,), "ragged", "text"], ids=str)
 def test_reconstruct_refuses_points_of_the_wrong_shape(shape):
     coeffs = ExpansionCoefficients(1, (scalar(0.8, 3), SymTensor(3, 1, [0.1, -0.2, 0.3])))
     with pytest.raises(ValueError, match="3-vector"):
-        reconstruct(coeffs, np.zeros(shape))
+        reconstruct(coeffs, NOT_POINTS[shape] if shape in NOT_POINTS else np.zeros(shape))
 
 
 def row_series(tensors, f0, points):
@@ -398,7 +402,7 @@ def test_series_matches_row_oracle(dim, top):
     points[2] = 0.0
     points[2, -1] = -4.7
     want = row_series(tensors, 0.7, points)
-    got = _series(tensors, 0.7, points, dim)
+    got = _series(tensors, 0.7, points, False)
     # one bound over the batch: per component with floor 1 is not a valid bound for the 6-D series
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
@@ -473,6 +477,32 @@ def test_admissibility_flag_does_not_depend_on_density():
         assert result.admissible == base.admissible
     assert l2_admissible(lambda p: 2.0**-500 * f(p), rule, vectorized=True).value == base.value * 2.0**-1000
     assert l2_admissible(lambda p: 1e300 * f(p), rule, vectorized=True).value == math.inf
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("grid", ["coarse", "doubled"])
+def test_a_non_finite_sample_is_refused_before_any_probe_verdict(grid, value):
+    # f is not finite at one node of one of the probe's two grids: every sampling entry raises at that node,
+    # with no stability warning ahead of it and no coefficients or probe value after it
+    rule = gauss_hermite_rule(8)
+    node = grid_points(rule if grid == "coarse" else gauss_hermite_rule(16))[5]
+
+    def f(p):
+        values = maxwellian((0.0, 0.0, 0.0))(p)
+        values[np.all(p == node, axis=1)] = value
+        return values
+
+    calls = [
+        lambda: l2_admissible(f, rule, vectorized=True),
+        lambda: expand(f, 2, rule, vectorized=True),
+        lambda: truncation_error(f, 2, rule, vectorized=True),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrandError) as err:
+                call()
+        assert err.value.node == tuple(node)
 
 
 def grid_admissibility(f, rule, vectorized):

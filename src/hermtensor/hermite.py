@@ -10,9 +10,10 @@ family (Grad's He) uses seeds He0 = 1, He1 = z and the factor n in place of
 2n; the two are linked by He_n(z) = 2**(-n/2) H_n(z / sqrt(2)).
 
 The recursion (the paper's definition) serves points and exact PolyScalar
-tables; ``product_rows`` builds rows on many points from the product
-factorization H_n,i(z) = prod_a h_{m_a}(z_a), whose 1-D tables alone serve
-the quadrature module.  Each route is the other's test oracle.
+tables.  Values at many points follow the product factorization
+H_n,i(z) = prod_a h_{m_a}(z_a): the quadrature module builds them one axis
+at a time from the 1-D table h_0..h_n here.  The tests hold the product
+form at whole points as the oracle of both routes.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .symtensor import (
-    SymTensor, _axis_counts, _check_dim, _read_points, _require_integer, _require_positive, max_component_diff, scalar,
-    sym_product,
+    SymTensor, _check_dim, _read_points, _require_integer, _require_positive, max_component_diff, scalar, sym_product,
 )
 
 __all__ = [
@@ -38,12 +38,9 @@ __all__ = [
     "convert",
     "evaluate_basis",
     "grad_check",
-    "hermite_1d",
     "hermite_phys",
     "hermite_prob",
     "hermite_symbolic",
-    "product_oracle",
-    "product_rows",
 ]
 
 
@@ -181,8 +178,9 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
 
     ``components`` holds the d coordinates, either floats or exact
     PolyScalars (then the tensors are coefficient tables).  Array
-    coordinates are refused with ``ValueError``; rows at many points come
-    from ``product_rows``.  Returns a list of SymTensor, one per rank.
+    coordinates are refused with ``ValueError``; values at many points come
+    from the quadrature module's 1-D tables.  Returns a list of SymTensor,
+    one per rank.
     """
     _check_dim(dim)
     _require_integer("max_rank", max_rank)
@@ -250,36 +248,6 @@ def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:
         np.multiply(table[1], table[k], out=table[k + 1, ...])
         table[k + 1, ...] -= factor * k * table[k - 1]
     return table
-
-
-def hermite_1d(n: int, x):
-    """Classical 1-D physicist Hermite polynomial h_n by its recurrence."""
-    h = _hermite_table(n, x)[n]
-    return h if h.ndim else float(h)
-
-
-def product_rows(max_rank: int, points, convention=PHYSICIST) -> list[np.ndarray]:
-    """Rows H_n,i = prod_a h_{m_a}(z_a), m_a the count of axis a in i, at points of shape (K, d).
-
-    Entry n, for n = 0..max_rank, has shape (#components(n), K); coordinates are read axis-major, as (d, K).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must have shape (K, d)")
-    table = _hermite_table(max_rank, np.ascontiguousarray(pts.T), 2.0 if convention is PHYSICIST else 1.0)
-    rows = []
-    for n in range(max_rank + 1):
-        counts = _axis_counts(n, pts.shape[1])
-        row = table[counts[:, 0], 0]
-        for axis in range(1, pts.shape[1]):
-            row *= table[counts[:, axis], axis]
-        rows.append(row)
-    return rows
-
-
-def product_oracle(rank: int, z) -> SymTensor:
-    """Independent route to H_rank at one point: per-axis products of 1-D polynomials."""
-    return SymTensor(len(z), rank, product_rows(rank, [z])[rank][:, 0])
 
 
 def grad_check(rank: int, z, h: float = 1e-5) -> float:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import _RANK_CAPS, BOLTZMANN, ExpansionCoefficients, _require_rank, _series
+from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
 from .symtensor import (
     SymTensor, _axis_counts, _count_positions, _frozen, _read_points, _require_positive, max_component_diff, n_components,
 )
@@ -29,7 +29,6 @@ __all__ = [
     "BOLTZMANN",
     "BlockRotation",
     "COM_RELATIVE_FRAME",
-    "MAX_MIXED_RANK",
     "MixedPoint",
     "SPECIES_FRAME",
     "SpeciesPair",
@@ -50,8 +49,6 @@ __all__ = [
 SPECIES_FRAME = "species"
 COM_RELATIVE_FRAME = "com-relative"
 _FRAMES = (SPECIES_FRAME, COM_RELATIVE_FRAME)
-
-MAX_MIXED_RANK = _RANK_CAPS["mixed"]
 
 
 @dataclass(frozen=True)

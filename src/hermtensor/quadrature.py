@@ -18,6 +18,7 @@ adds.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -86,17 +87,21 @@ class QuadratureRule:
             object.__setattr__(self, name, value)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 4.0 is refused, never served from the entry of 4
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Rule of the given order for the weight exp(-x**2).
 
     Nodes are the roots of the order-``order`` 1-D physicist Hermite
     polynomial; with n nodes, polynomials through degree 2n-1 integrate
-    exactly.  Rules are cached per order; their arrays are read-only.
+    exactly.  Rules are cached per order, one rule for 16 and np.int64(16)
+    alike, with an int ``order``; their arrays are read-only.
     """
     _require_integer("order", order, 1, MAX_ORDER)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(order, nodes, weights)
+    return _rule(operator.index(order))
+
+
+@lru_cache(maxsize=None)
+def _rule(order: int) -> QuadratureRule:
+    return QuadratureRule(order, *np.polynomial.hermite.hermgauss(order))
 
 
 # top rank of every rank-capped operation, each checked only through _require_rank; "mixed" caps the public 6-D ones
@@ -164,7 +169,8 @@ def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
     """Physicist basis rows of rank 0..max_rank on the rule's grid, one read-only (components, order**3) array per rank.
 
     Row n is h_c0(x) h_c1(y) h_c2(z) over the node triples, c the axis counts of each component: an outer
-    product of 1-D table rows, multiplied in the order of product_rows, so bitwise its rows.
+    product of 1-D table rows, multiplied axis by axis from the first, so bitwise the product-form rows of the
+    test oracle.
     """
     h = _axis_table(rule, max_rank)
 

@@ -16,25 +16,22 @@ ranks, degrees and orders, positive scalars, and points (one d-vector or a
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
 integers, as the PolyScalar coefficient tables of the Hermite module do.
-Values at many points are rows of the Hermite module's product kernel, not
-tensors.
+Values at many points are not tensors: the quadrature module builds them
+from 1-D tables, one axis at a time.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "SUPPORTED_DIMS",
-    "MultiIndex",
     "SymTensor",
     "canonical_index_tuples",
-    "canonicalize",
     "identity",
     "inner",
     "max_component_diff",
@@ -45,7 +42,6 @@ __all__ = [
     "perm_delta",
     "scalar",
     "sym_product",
-    "sym_raw",
 ]
 
 SUPPORTED_DIMS = (3, 6)
@@ -98,36 +94,6 @@ def _require_positive(**named: float) -> None:
     for name, value in named.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A canonical (sorted, non-decreasing) tuple of axis labels."""
-
-    entries: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        if any(not (0 <= a < self.dim) for a in self.entries):
-            raise ValueError(f"axis labels out of range for dim {self.dim}: {self.entries}")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries are not sorted: {self.entries}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def canonicalize(indices, dim: int) -> MultiIndex:
-    """Sort an index tuple into its canonical multiset representative."""
-    return MultiIndex(tuple(sorted(int(a) for a in indices)), dim)
 
 
 def n_components(rank: int, dim: int) -> int:
@@ -254,10 +220,7 @@ class SymTensor:
         return self.data[_dense_positions(self.rank, self.dim)].astype(np.float64, copy=False)
 
     def __getitem__(self, key):
-        if isinstance(key, MultiIndex):
-            entries = key.entries
-        else:
-            entries = tuple(sorted(int(a) for a in key))
+        entries = tuple(sorted(int(a) for a in key))
         if len(entries) != self.rank:
             raise ValueError(f"index of rank {len(entries)} for rank-{self.rank} tensor")
         try:
@@ -370,11 +333,6 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     acc = np.zeros(n_components(p + q, a.dim), dtype=np.result_type(x, y, np.float64))
     np.add.at(acc, out, count * (x[left] * y[right]))
     return SymTensor(a.dim, p + q, acc / math.comb(p + q, p))
-
-
-def sym_raw(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Unnormalized symmetrization of a (x) b over all (p+q)! slot permutations."""
-    return SymTensor(a.dim, a.rank + b.rank, math.factorial(a.rank + b.rank) * sym_product(a, b).data)
 
 
 def perm_delta(i, j) -> int:

@@ -12,20 +12,19 @@ from hermtensor.hermite import (
     convert,
     evaluate_basis,
     grad_check,
-    hermite_1d,
     hermite_phys,
     hermite_prob,
     hermite_symbolic,
-    product_oracle,
-    product_rows,
 )
 from hermtensor.quadrature import gauss_hermite_rule, grid_points
 from hermtensor.symtensor import (
     canonical_index_tuples,
     identity,
     max_component_diff,
-    sym_raw,
+    sym_product,
 )
+
+from hermite_oracles import product_oracle, product_rows
 
 
 def expected_symbolic_tables(dim=3):
@@ -88,18 +87,18 @@ def test_h2_cross_component():
 
 def test_hermite_1d_first_few():
     x = 0.7
-    assert hermite_1d(0, x) == 1.0
-    assert hermite_1d(1, x) == pytest.approx(2 * x)
-    assert hermite_1d(2, x) == pytest.approx(4 * x * x - 2)
-    assert hermite_1d(3, x) == pytest.approx(8 * x**3 - 12 * x)
-    assert hermite_1d(2, 1.0) == pytest.approx(2.0)
+    assert _hermite_table(0, x)[0] == 1.0
+    assert _hermite_table(1, x)[1] == pytest.approx(2 * x)
+    assert _hermite_table(2, x)[2] == pytest.approx(4 * x * x - 2)
+    assert _hermite_table(3, x)[3] == pytest.approx(8 * x**3 - 12 * x)
+    assert _hermite_table(2, 1.0)[2] == pytest.approx(2.0)
 
 
 def test_hermite_1d_matches_numpy():
     x = np.linspace(-3, 3, 11)
     for n in range(7):
         coeffs = [0.0] * n + [1.0]
-        np.testing.assert_allclose(hermite_1d(n, x), np.polynomial.hermite.hermval(x, coeffs), rtol=1e-12)
+        np.testing.assert_allclose(_hermite_table(n, x)[n], np.polynomial.hermite.hermval(x, coeffs), rtol=1e-12)
 
 
 def written_out_table(max_n, x, factor):
@@ -188,20 +187,22 @@ def test_parity():
 
 
 def test_unnormalized_recursion_identity():
-    # (n+1)! H_{n+1} equals sym_raw(H_n, H_1) - 2n sym_raw(H_{n-1}, delta)
+    # (n+1)! H_{n+1} equals raw(H_n, H_1) - 2n raw(H_{n-1}, delta), raw = (n+1)! sym_product the unnormalized
+    # symmetrization of a rank-(n+1) product
     z = (0.4, -1.2, 2.1)
     basis = hermite_phys(5, z)
     delta = identity(3)
     for n in range(1, 5):
         lhs = math.factorial(n + 1) * basis[n + 1]
-        rhs = sym_raw(basis[n], basis[1]) - (2 * n) * sym_raw(basis[n - 1], delta)
+        raw = math.factorial(n + 1)
+        rhs = raw * sym_product(basis[n], basis[1]) - (2 * n) * (raw * sym_product(basis[n - 1], delta))
         scale = max(1.0, float(np.max(np.abs(lhs.data))))
         assert max_component_diff(lhs, rhs) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("max_rank", [0, 1, 3])
 def test_evaluate_basis_refuses_array_coordinates(max_rank):
-    # rows at many points come from product_rows; the recursion takes one point or exact tables
+    # values at many points come from 1-D tables; the recursion takes one point or exact tables
     with pytest.raises(ValueError, match="one scalar per canonical tuple"):
         evaluate_basis(max_rank, (np.ones(4), np.zeros(4), np.ones(4)))
 

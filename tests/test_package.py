@@ -1,9 +1,9 @@
 import hermtensor
-from hermtensor import hermite, mixed6, quadrature, symtensor, transforms
+from hermtensor import cli, hermite, mixed6, quadrature, symtensor, transforms
 
 MODULES = (symtensor, hermite, quadrature, transforms, mixed6)
 
-# the 71 names the root exported while its list was written out by hand; none may go
+# the 71 names the root exported while its list was written out by hand, less REMOVED; none other may go
 EARLIER_EXPORTS = [
     "AdmissibilityResult", "BasisEvaluation", "BlockRotation", "ExpansionCoefficients",
     "HermiteConvention", "MixedPoint", "MultiIndex", "NonFiniteIntegrandError",
@@ -25,6 +25,28 @@ EARLIER_EXPORTS = [
     "translated_hermite", "translation_roundtrip", "truncation_error",
 ]
 
+# names no library route calls and no test compares against, deleted; product_rows and product_oracle, the
+# product-form oracle, live in tests/hermite_oracles.py; MAX_MIXED_RANK was never in the root list
+REMOVED = ["MultiIndex", "canonicalize", "sym_raw", "hermite_1d", "product_oracle", "product_rows", "MAX_MIXED_RANK"]
+
+# the root's __all__, module by module in the order of MODULES
+EXPORTS = [
+    "SUPPORTED_DIMS", "SymTensor", "canonical_index_tuples", "identity", "inner", "max_component_diff",
+    "multiplicity", "multiplicity_vector", "n_components", "outer_power", "perm_delta", "scalar", "sym_product",
+    "BasisEvaluation", "HermiteConvention", "PHYSICIST", "PROBABILIST", "PolyScalar", "convert", "evaluate_basis",
+    "grad_check", "hermite_phys", "hermite_prob", "hermite_symbolic",
+    "AdmissibilityResult", "ExpansionCoefficients", "NonFiniteIntegrandError", "QuadratureRule", "WeightSpec",
+    "expand", "gauss_hermite_rule", "grid_points", "grid_weights", "integrate3", "l2_admissible", "ortho_matrix",
+    "reconstruct", "truncation_error",
+    "ProbeResult", "ScalingMap", "TranslationMap", "TranslationTerm", "alpha_from_temperatures",
+    "assemble_translation", "convergence_probe", "orthogonality_after_translation", "scaling_admissible",
+    "temperature_window", "translate_basis", "translated_hermite", "translation_roundtrip",
+    "BOLTZMANN", "BlockRotation", "COM_RELATIVE_FRAME", "MixedPoint", "SPECIES_FRAME", "SpeciesPair",
+    "com_relative_from_velocities", "distribution_invariance", "equivariance_residual", "from_com_relative",
+    "mixed_hermite", "mixed_reconstruct", "product_distribution", "rotate_coefficients", "rotate_rank_n",
+    "species_point_from_velocities", "stack_coefficients", "to_com_relative",
+]
+
 
 def test_root_exports_each_module_name_once():
     names = hermtensor.__all__
@@ -35,9 +57,20 @@ def test_root_exports_each_module_name_once():
             assert getattr(hermtensor, name) is getattr(module, name), name
 
 
+def test_root_exports_are_pinned():
+    assert hermtensor.__all__ == EXPORTS
+
+
 def test_root_keeps_every_earlier_export():
     assert len(set(EARLIER_EXPORTS)) == 71
-    assert set(EARLIER_EXPORTS) <= set(hermtensor.__all__)
+    assert set(EARLIER_EXPORTS) - set(REMOVED) <= set(hermtensor.__all__)
+
+
+def test_removed_names_are_gone_everywhere():
+    for name in REMOVED:
+        assert not hasattr(hermtensor, name), name
+        for module in (*MODULES, cli):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_star_import_matches_all():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermtensor.hermite import PHYSICIST, PROBABILIST, _hermite_table, product_rows
+from hermtensor import hermite
+from hermtensor.hermite import PHYSICIST, PROBABILIST, _hermite_table
 from hermtensor.mixed6 import SpeciesPair, distribution_invariance, mixed_reconstruct, stack_coefficients
 from hermtensor.quadrature import (
     ATOMIC_MASS,
@@ -42,6 +43,8 @@ from hermtensor.symtensor import (
 )
 from hermtensor.transforms import ScalingMap, TranslationMap, convergence_probe, orthogonality_after_translation
 
+from hermite_oracles import product_rows
+
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -58,6 +61,13 @@ def test_order_two_rule():
     rule = gauss_hermite_rule(2)
     np.testing.assert_allclose(sorted(rule.nodes), [-1 / math.sqrt(2), 1 / math.sqrt(2)], rtol=1e-14)
     np.testing.assert_allclose(rule.weights, [SQRT_PI / 2, SQRT_PI / 2], rtol=1e-14)
+
+
+def test_one_rule_per_order_whatever_its_integer_type():
+    # an np.int64 order is served the rule of the int, so one order builds its grid, probe and fold tables once
+    rule = gauss_hermite_rule(np.int64(16))
+    assert rule is gauss_hermite_rule(16)
+    assert type(rule.order) is int
 
 
 @pytest.mark.parametrize("order", [2, 5, 12, 20, 64])
@@ -241,7 +251,7 @@ def test_gram_tables_and_probe_read_no_grid(monkeypatch):
     for name in ("grid_points", "grid_weights", "_grid_rows"):
         monkeypatch.setattr(quadrature, name, refuse)
         assert not hasattr(transforms, name)
-    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
+    assert not hasattr(hermite, "product_rows")
     rule = unshared_rule(12)
     ortho_matrix(3, 2, rule)
     ortho_matrix(3, 3, rule, PROBABILIST)
@@ -409,9 +419,9 @@ def test_series_matches_row_oracle(dim, top):
 
 def test_series_routes_build_no_basis_rows(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("product_rows called")
+        raise AssertionError("grid rows built")
 
-    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
+    assert not hasattr(hermite, "product_rows")
     monkeypatch.setattr("hermtensor.quadrature._grid_rows", refuse)
     coeff_s = ExpansionCoefficients(2, (scalar(1.0, 3), SymTensor(3, 1, [0.1, 0.0, -0.2]), outer_power([0.1, 0.2, 0.0], 2)))
     coeff_sp = ExpansionCoefficients(1, (scalar(0.5, 3), SymTensor(3, 1, [0.0, 0.3, 0.0])))
@@ -822,14 +832,11 @@ def test_grid_rows_are_bitwise_the_product_rows():
             assert _grid_rows(rule, n)[n].tobytes() == want[n].tobytes(), (rule.order, n)
 
 
-def test_projection_and_series_run_without_product_rows(monkeypatch):
+def test_projection_and_series_run_without_product_rows():
     import hermtensor.quadrature as quadrature
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("product_rows called")
-
     assert not hasattr(quadrature, "product_rows")
-    monkeypatch.setattr("hermtensor.hermite.product_rows", refuse)
+    assert not hasattr(hermite, "product_rows")
     rule, f = unshared_rule(16), maxwellian((0.3, 0.0, -0.2))
     coeffs = expand(f, 6, rule, f0=math.pi ** (-1.5), vectorized=True)
     assert reconstruct(coeffs, grid_points(rule)[:8]).shape == (8,)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -174,8 +175,8 @@ def cmd_basis(args) -> tuple[dict, int]:
         _require_rank("basis_symbolic", args.rank)
         tensor = hermite_symbolic(args.rank, dim=3, convention=convention)[args.rank]
         components = [
-            {"index": list(idx), "terms": [_term(*term) for term in tensor[idx].terms()]}
-            for idx in canonical_index_tuples(args.rank, 3)
+            {"index": list(idx), "terms": [_term(*term) for term in value.terms()]}
+            for idx, value in zip(canonical_index_tuples(args.rank, 3), tensor.data)
         ]
     else:
         _require_rank("basis", args.rank)
@@ -184,8 +185,8 @@ def cmd_basis(args) -> tuple[dict, int]:
         tensor = evaluate_basis(args.rank, point, dim=3, convention=convention)[args.rank]
         _require_finite_result(f"a rank-{args.rank} basis value at {point}", tensor.data)
         components = [
-            {"index": list(idx), "value": float(tensor[idx])}
-            for idx in canonical_index_tuples(args.rank, 3)
+            {"index": list(idx), "value": float(value)}
+            for idx, value in zip(canonical_index_tuples(args.rank, 3), tensor.data)
         ]
     return {"command": "basis", "config": config, "components": components}, 0
 
@@ -212,8 +213,8 @@ def cmd_expand(args) -> tuple[dict, int]:
     f0 = args.density * math.pi ** (-1.5)
     coeffs = expand(spec.weight_z, args.max_rank, rule, f0=f0, vectorized=True)
     ranks = [
-        {"rank": n, "components": [{"index": list(i), "value": float(coeffs[n][i])} for i in canonical_index_tuples(n, 3)]}
-        for n in range(args.max_rank + 1)
+        {"rank": n, "components": [{"index": list(i), "value": float(v)} for i, v in zip(canonical_index_tuples(n, 3), t.data)]}
+        for n, t in enumerate(coeffs.coeffs)
     ]
     report = {
         "command": "expand",
@@ -356,8 +357,19 @@ def cmd_verify(args) -> tuple[dict, int]:
 # --- argument parsing and dispatch ----------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with "-" or "-." and a digit as a value: "--drift -300,0,0", "--mass -2.5e3".
+
+    argparse's own pattern (a private attribute, set per instance) takes no exponent and no comma list.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hermtensor", description="Tensor Hermite basis toolbox")
+    parser = _Parser(prog="hermtensor", description="Tensor Hermite basis toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -21,9 +21,7 @@ import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
 from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
-from .symtensor import (
-    SymTensor, _axis_counts, _count_positions, _frozen, _read_points, _require_positive, max_component_diff, n_components,
-)
+from .symtensor import SymTensor, _frozen, _read_points, _require_positive, max_component_diff, sym_product
 
 __all__ = [
     "BOLTZMANN",
@@ -219,29 +217,31 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     return float(np.max([max_component_diff(a, b) for a, b in zip(at_rotated, rotated)]))
 
 
+def _block(t: SymTensor, first: int) -> SymTensor:
+    """The 3-D tensor ``t`` on labels first..first+2 of a 6-D tensor, zero elsewhere."""
+    if t.rank == 0:
+        return SymTensor(6, 0, t.data)
+    dense = np.zeros((6,) * t.rank)
+    dense[(slice(first, first + 3),) * t.rank] = t.to_dense()
+    return SymTensor.from_dense(dense)
+
+
 def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients) -> list[SymTensor]:
     """Merge two 3-D expansions into stacked 6-D coefficient tensors.
 
-    Rank N collects every split n + m = N as the symmetrized product of
-    the primed rank-m tensor on the upper block with the unprimed rank-n
-    tensor on the lower block.  Contracting the result against the mixed
-    basis reproduces the product of the two series.  A sorted 6-D tuple
-    lists its m upper labels first, so only the split (m, N - m) reaches it.
+    Rank N sums, over every split m + n = N, the symmetrized product of the
+    block-embedded tensors: the primed rank-m tensor on the upper block
+    (labels 0..2) with the unprimed rank-n tensor on the lower block (labels
+    3..5).  Contracting the result against the mixed basis reproduces the
+    product of the two series.
     """
     top = coeff_s.max_rank + coeff_sp.max_rank
     _require_rank("mixed", top)
+    upper, lower = [_block(t, 0) for t in coeff_sp.coeffs], [_block(t, 3) for t in coeff_s.coeffs]
     stacked = []
     for N in range(top + 1):
-        counts, values = _axis_counts(N, 6), np.zeros(n_components(N, 6))
-        splits = range(max(0, N - coeff_s.max_rank), min(N, coeff_sp.max_rank) + 1)
-        for m in splits:
-            sel = np.flatnonzero(counts[:, :3].sum(axis=1) == m)
-            left = coeff_sp[m].data[_count_positions(counts[sel, :3], m, 3)]
-            right = coeff_s[N - m].data[_count_positions(counts[sel, 3:], N - m, 3)]
-            values[sel] = (left * right + 0.0) / math.comb(N, m)
-        if len(splits) > 1:
-            values += 0.0  # the other splits add +0.0 here: an underflowed -0.0 reads +0.0, as in their sum
-        stacked.append(SymTensor(6, N, values))
+        terms = [sym_product(u, lower[N - m]) for m, u in enumerate(upper) if 0 <= N - m < len(lower)]
+        stacked.append(sum(terms[1:], terms[0]))
     return stacked
 
 

@@ -6,8 +6,9 @@ exactly those canonical components, ordered lexicographically by sorted index
 tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 
 The module owns the label-count table of canonical storage (how often each
-axis appears in each tuple); a symmetrized product is one unbuffered
-scatter-add over a flat split plan built once per rank pair from them.
+axis appears in each tuple), and every storage position is found from label
+counts: a keyed read, a dense index, a product split.  A symmetrized product
+is one unbuffered scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
 ranks, degrees and orders, positive scalars, and points (one d-vector or a
@@ -116,15 +117,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _positions(rank: int, dim: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(canonical_index_tuples(rank, dim))}
-
-
-@lru_cache(maxsize=None)
 def _dense_positions(rank: int, dim: int) -> np.ndarray:
-    """(dim,)*rank table: the storage position of each dense index's canonical tuple."""
-    positions = _positions(rank, dim)
-    table = np.array([positions[tuple(sorted(i))] for i in itertools.product(range(dim), repeat=rank)], dtype=np.intp)
+    """(dim,)*rank table: the storage position of each dense index's canonical tuple, read from its label counts."""
+    labels = np.indices((dim,) * rank).reshape(rank, dim**rank, 1)
+    table = _count_positions((labels == np.arange(dim)).sum(axis=0), rank, dim)
     return _frozen(table.reshape((dim,) * rank))
 
 
@@ -223,11 +219,9 @@ class SymTensor:
         entries = tuple(sorted(int(a) for a in key))
         if len(entries) != self.rank:
             raise ValueError(f"index of rank {len(entries)} for rank-{self.rank} tensor")
-        try:
-            pos = _positions(self.rank, self.dim)[entries]
-        except KeyError:
-            raise ValueError(f"axis labels out of range for dim {self.dim}: {entries}") from None
-        return self.data[pos]
+        if entries and not (0 <= entries[0] and entries[-1] < self.dim):
+            raise ValueError(f"axis labels out of range for dim {self.dim}: {entries}")
+        return self.data[_count_positions([entries.count(a) for a in range(self.dim)], self.rank, self.dim)]
 
     def _binary(self, other, op):
         if not isinstance(other, SymTensor):

@@ -321,11 +321,26 @@ POSITIVE_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "-0.5", "inf", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "-0.5", "-2.5e3", "-.5", "inf", "nan"])
 @pytest.mark.parametrize("argv", POSITIVE_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
 def test_positive_option_refusal_names_what_was_typed(argv, value, capsys):
     assert invoke([*argv, value]) == (2, "")
     assert f"argument {argv[-1]}: must be finite and positive, got {value}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        ([*EXPAND, "--max-rank", "2"], "--drift", "-300,0,0"),
+        (["basis", "--rank", "1"], "--point", "-1,0,0"),
+        (["verify", "scale", "--alpha", "0.5"], "--z0", "-.5,0,0"),
+    ],
+    ids=["drift", "point", "z0"],
+)
+def test_negative_value_after_a_space_is_the_value(argv, option, value):
+    # argparse alone reads "-300,0,0" as an unknown option and refuses "--drift" for want of its value
+    code, text = invoke([*argv, f"{option}={value}"])
+    assert code == 0 and invoke([*argv, option, value]) == (code, text)
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)

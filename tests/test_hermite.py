@@ -310,3 +310,14 @@ def test_polyscalar_rejects_floats():
 def test_polyscalar_division_exact():
     p = (2 * PolyScalar.variable(3, 0)) / 3
     assert p.coefficient((1, 0, 0)) == Fraction(2, 3)
+
+
+def test_polyscalar_repr_rsub_and_hash():
+    # highest total degree first, the constant term last; a zero polynomial reads "0"
+    assert repr(hermite_symbolic(2)[2][(0, 0)]) == "4*z0**2 - 2"
+    assert repr(PolyScalar(3, {})) == "0"
+    assert repr(1 - PolyScalar.variable(3, 1)) == "-1*z1 + 1"
+    built = PolyScalar.variable(3, 0) * PolyScalar.variable(3, 0) - 1
+    same = PolyScalar(3, {(0, 0, 0): -1, (2, 0, 0): 1})
+    assert built == same and hash(built) == hash(same)
+    assert len({built, same, PolyScalar.variable(3, 0)}) == 2

@@ -235,6 +235,7 @@ INTEGER = {
     ),
     "SymTensor index rank": (lambda: zeros(3, 2)[(0,)], "index of rank 1 for rank-2 tensor"),
     "SymTensor index label": (lambda: zeros(3, 2)[(0, 5)], "axis labels out of range for dim 3: (0, 5)"),
+    "SymTensor negative label": (lambda: zeros(3, 2)[(2, -1)], "axis labels out of range for dim 3: (-1, 2)"),
     "SymTensor MultiIndex": (lambda: zeros(3, 2)[(1,)], "index of rank 1 for rank-2 tensor"),
     "SymTensor + rank": (lambda: zeros(3, 1) + zeros(3, 2), "rank/dim mismatch"),
     "SymTensor - dim": (lambda: zeros(3, 1) - zeros(6, 1), "rank/dim mismatch"),

@@ -27,7 +27,7 @@ from hermtensor.mixed6 import (
     to_com_relative,
 )
 from hermtensor.quadrature import ExpansionCoefficients
-from hermtensor.symtensor import SymTensor, canonical_index_tuples, identity, max_component_diff, n_components, scalar, sym_product
+from hermtensor.symtensor import SymTensor, _axis_counts, _count_positions, identity, max_component_diff, n_components, scalar
 
 from hermite_oracles import product_oracle
 
@@ -385,34 +385,30 @@ def test_stack_rank_overflow():
         stack_coefficients(deep, deep)
 
 
-def embed_block(t, offset):
-    """Lift a 3-D tensor into dimension 6 on one block of axes."""
-    if t.rank == 0:
-        return SymTensor(6, 0, [float(t.data[0])])
-    values = np.zeros(n_components(t.rank, 6))
-    source = {idx: v for idx, v in zip(canonical_index_tuples(t.rank, 3), t.data)}
-    for pos, idx in enumerate(canonical_index_tuples(t.rank, 6)):
-        shifted = tuple(i - offset for i in idx)
-        if all(0 <= i <= 2 for i in shifted):
-            values[pos] = source[shifted]
-    return SymTensor(6, t.rank, values)
+def gathered_stack(coeff_s, coeff_sp):
+    """Reference: each rank filled in one pass, component by component.
 
-
-def embedded_stack(coeff_s, coeff_sp):
-    """Reference: symmetrized products of the block-embedded tensors."""
+    A sorted 6-D tuple lists its m upper labels first, so only the split (m, N - m) reaches it: its value is
+    the primed rank-m component at the upper labels times the unprimed one at the lower labels, over C(N, m).
+    """
+    top = coeff_s.max_rank + coeff_sp.max_rank
     stacked = []
-    for N in range(coeff_s.max_rank + coeff_sp.max_rank + 1):
-        total = None
-        for n in range(coeff_s.max_rank + 1):
-            m = N - n
-            if 0 <= m <= coeff_sp.max_rank:
-                piece = sym_product(embed_block(coeff_sp[m], 0), embed_block(coeff_s[n], 3))
-                total = piece if total is None else total + piece
-        stacked.append(total)
+    for N in range(top + 1):
+        counts, values = _axis_counts(N, 6), np.zeros(n_components(N, 6))
+        splits = range(max(0, N - coeff_s.max_rank), min(N, coeff_sp.max_rank) + 1)
+        for m in splits:
+            sel = np.flatnonzero(counts[:, :3].sum(axis=1) == m)
+            left = coeff_sp[m].data[_count_positions(counts[sel, :3], m, 3)]
+            right = coeff_s[N - m].data[_count_positions(counts[sel, 3:], N - m, 3)]
+            values[sel] = (left * right + 0.0) / math.comb(N, m)
+        if len(splits) > 1:
+            values += 0.0  # the other splits add +0.0 here: an underflowed -0.0 reads +0.0, as in their sum
+        stacked.append(SymTensor(6, N, values))
     return stacked
 
 
 def test_stack_coefficients_closed_form_matches_embedding():
+    # the library sums symmetrized products of the block-embedded tensors; the reference gathers each component
     rng = np.random.default_rng(71)
     # subnormal and near-underflow values: a quotient that underflows to -0.0 must keep the sign the sum gives
     values = np.array([0.0, -0.0, -1.25, 0.5, -3e-5, 2.0, -7.0, 5e-324, -5e-324, 3e-160, -3e-165])
@@ -425,7 +421,7 @@ def test_stack_coefficients_closed_form_matches_embedding():
             for _ in range(8):
                 coeff_s, coeff_sp = random_coefficients(rank_s), random_coefficients(rank_sp)
                 got = stack_coefficients(coeff_s, coeff_sp)
-                want = embedded_stack(coeff_s, coeff_sp)
+                want = gathered_stack(coeff_s, coeff_sp)
                 assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 
 

@@ -20,7 +20,7 @@ from hermtensor.symtensor import (
     scalar,
     sym_product,
 )
-from hermtensor.symtensor import _positions, _split_plan
+from hermtensor.symtensor import _dense_positions, _split_plan
 
 
 def random_symtensor(rng, dim, rank):
@@ -162,6 +162,21 @@ def test_to_dense_matches_permutation_fill(rank, dim):
     assert dense.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dim, top", [(3, 6), (6, 4)])
+def test_dense_positions_are_the_canonical_tuple_positions(dim, top):
+    # the table is read from label counts; the reference looks each sorted dense index up in storage order
+    rng = np.random.default_rng(dim)
+    for rank in range(top + 1):
+        tuples = canonical_index_tuples(rank, dim)
+        table = _dense_positions(rank, dim)
+        assert table.shape == (dim,) * rank
+        for i in itertools.product(range(dim), repeat=rank):
+            assert table[i] == tuples.index(tuple(sorted(i)))
+        if rank:  # a 0-d array carries no dimension, so rank 0 has no round trip
+            t = SymTensor(dim, rank, rng.standard_normal(len(tuples)))
+            assert SymTensor.from_dense(t.to_dense()).data.tobytes() == t.data.tobytes()
+
+
 # ---------------------------------------------------------------- sym ops
 
 
@@ -221,8 +236,8 @@ def _grouped_split_sums(a: SymTensor, b: SymTensor) -> list:
     grouped and counted instead of enumerated.
     """
     p, q, dim = a.rank, b.rank, a.dim
-    pos_a = _positions(p, dim)
-    pos_b = _positions(q, dim)
+    pos_a = {t: i for i, t in enumerate(canonical_index_tuples(p, dim))}
+    pos_b = {t: i for i, t in enumerate(canonical_index_tuples(q, dim))}
     out = []
     for full in canonical_index_tuples(p + q, dim):
         groups: dict[tuple, int] = {}

@@ -358,14 +358,16 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token that starts with "-" or "-." and a digit as a value: "--drift -300,0,0", "--mass -2.5e3".
+    """Reads a token that starts with "-" or "-." and a digit, or with "-inf" or "-nan" in any case, as a value:
+    "--drift -300,0,0", "--mass -2.5e3", "--ms -inf".
 
-    argparse's own pattern (a private attribute, set per instance) takes no exponent and no comma list.
+    argparse's own pattern (a private attribute, set per instance) takes no exponent, no comma list and no
+    non-finite value.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

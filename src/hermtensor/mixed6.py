@@ -21,7 +21,7 @@ import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
 from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
-from .symtensor import SymTensor, _frozen, _read_points, _require_positive, max_component_diff, sym_product
+from .symtensor import SymTensor, _frozen, _read_points, _read_series, _require_positive, max_component_diff, sym_product
 
 __all__ = [
     "BOLTZMANN",
@@ -252,7 +252,7 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
 
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
     """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a batch of them."""
-    _require_rank("mixed", len(alphas) - 1)
+    _require_rank("mixed", len(_read_series("alphas", alphas, 6)) - 1)
     return _series(alphas, f0, *_points6("x", x))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hermite import PHYSICIST, _hermite_table
 from .symtensor import (
-    SymTensor, _axis_counts, _frozen, _read_points, _require_integer, _require_positive, multiplicity_vector,
+    SymTensor, _axis_counts, _frozen, _read_points, _read_series, _require_integer, _require_positive, multiplicity_vector,
 )
 
 __all__ = [
@@ -291,11 +291,8 @@ class ExpansionCoefficients:
 
     def __post_init__(self):
         _require_integer("max_rank", self.max_rank)
-        if len(self.coeffs) != self.max_rank + 1:
+        if len(_read_series("coeffs", self.coeffs, 3)) != self.max_rank + 1:
             raise ValueError("need one coefficient tensor per rank 0..max_rank")
-        for n, c in enumerate(self.coeffs):
-            if c.rank != n or c.dim != 3:
-                raise ValueError(f"coefficient {n} has wrong rank or dim")
 
     def __getitem__(self, rank: int) -> SymTensor:
         return self.coeffs[rank]
@@ -391,11 +388,10 @@ def _series(tensors, f0: float, pts: np.ndarray, single: bool):
     """f0 exp(-z.z) sum_n inner(a_n, H_n(z)) for d-D tensors a_0..a_N at (K, d) points; a float if ``single``.
 
     Summed over h_0..h_N at the coordinates, a matmul for the last axis and a fold for each other axis:
-    no basis row is built, and no intermediate outgrows (components, K).
+    no basis row is built, and no intermediate outgrows (components, K).  The tensors are read by the
+    caller (``_read_series``).
     """
     dim = pts.shape[1]
-    if any(t.dim != dim or t.rank != n for n, t in enumerate(tensors)):
-        raise ValueError(f"series terms must be {dim}-D tensors of ranks 0, 1, 2, ... in order")
     shape, scatter, multiplicities, folds = _series_plan(len(tensors) - 1, dim)
     coords = np.ascontiguousarray(pts.T)  # axis-major: z.z is d contiguous vector adds, left to right as per point
     table = _hermite_table(shape[1] - 1, coords)

@@ -11,8 +11,9 @@ counts: a keyed read, a dense index, a product split.  A symmetrized product
 is one unbuffered scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
-ranks, degrees and orders, positive scalars, and points (one d-vector or a
-(K, d) batch), each refused with a ValueError that names the parameter.
+ranks, degrees and orders, positive scalars, points (one d-vector or a
+(K, d) batch) and series (tensors of ranks 0, 1, 2, ...), each refused with
+a ValueError that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -88,6 +89,17 @@ def _read_points(name: str, x, dim: int | None = None, batch: bool = True, vecto
         kind = f"a {vector}" + (f", or a (K, {dim}) batch of them" if batch else "")
         raise ValueError(f"{name} must be {kind}, got {'ragged or non-numeric input' if shape is None else f'shape {shape}'}")
     return pts.reshape(-1, dim), single
+
+
+def _read_series(name: str, tensors, dim: int):
+    """``tensors`` if it is a list or tuple of d-D SymTensors of ranks 0, 1, 2, ... in order.
+
+    Anything else raises one ValueError naming ``name``.
+    """
+    if not (isinstance(tensors, (list, tuple))
+            and all(isinstance(t, SymTensor) and (t.dim, t.rank) == (dim, n) for n, t in enumerate(tensors))):
+        raise ValueError(f"{name} must be a list or tuple of {dim}-D SymTensors of ranks 0, 1, 2, ... in order")
+    return tensors
 
 
 def _require_positive(**named: float) -> None:
@@ -285,11 +297,17 @@ def _axis_counts(rank: int, dim: int) -> np.ndarray:
     return _frozen(np.array([[t.count(a) for a in range(dim)] for t in canonical_index_tuples(rank, dim)], dtype=np.intp))
 
 
+@lru_cache(maxsize=None)
+def _count_keys(rank: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (radix, keys): a label-count row's key is -(counts @ radix), strictly increasing in storage order."""
+    radix = (rank + 1) ** np.arange(dim - 1, -1, -1)
+    return _frozen(radix), _frozen(-(_axis_counts(rank, dim) @ radix))
+
+
 def _count_positions(counts: np.ndarray, rank: int, dim: int) -> np.ndarray:
     """Storage positions of the rank-``rank`` tuples with the given label-count rows."""
-    radix = (rank + 1) ** np.arange(dim - 1, -1, -1)
-    keys = _axis_counts(rank, dim) @ radix  # lexicographic storage order makes these strictly decreasing
-    return np.searchsorted(-keys, -(counts @ radix))
+    radix, keys = _count_keys(rank, dim)
+    return np.searchsorted(keys, -(counts @ radix))
 
 
 @lru_cache(maxsize=None)

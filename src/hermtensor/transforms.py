@@ -16,15 +16,13 @@ import numpy as np
 
 from .hermite import hermite_phys
 from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_rank
-from .symtensor import SymTensor, _read_points, _require_positive, max_component_diff, outer_power, sym_product
+from .symtensor import SymTensor, _read_points, _read_series, _require_positive, max_component_diff, outer_power, sym_product
 
 __all__ = [
     "ProbeResult",
     "ScalingMap",
     "TranslationMap",
-    "TranslationTerm",
     "alpha_from_temperatures",
-    "assemble_translation",
     "convergence_probe",
     "orthogonality_after_translation",
     "scaling_admissible",
@@ -134,43 +132,28 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     return ProbeResult("divergent" if divergent else "finite", coarse, fine)
 
 
-class TranslationTerm(NamedTuple):
-    binom: int
-    partner_rank: int
-    shift_power: SymTensor
+def translate_basis(values, tmap: TranslationMap, direction: str) -> SymTensor:
+    """One frame's H_n at a point, re-expanded from the other frame's H_0..H_n there.
 
-
-def translate_basis(rank: int, tmap: TranslationMap, direction: str) -> list[TranslationTerm]:
-    """Binomial re-expansion of one frame's Hermite tensor in the other frame.
-
-    Direction "r->0" writes H_n(z - z00) as sum_p C(n,p) sym_product(
-    H_p(z - za), [2 (za - z00)]^(n-p)); direction "0->r" swaps the roles,
-    negating the shift.  The terms alone are returned; combine them with
-    ``assemble_translation`` against evaluated partner tensors.
+    Direction "r->0" takes ``values`` = H_0..H_n(z - za) and returns H_n(z - z00) = sum_p C(n,p)
+    sym_product(H_p(z - za), [2 (za - z00)]^(n-p)), summed left to right from p = 0; direction "0->r"
+    swaps the roles, negating the shift.
     """
+    rank = len(_read_series("values", values, 3)) - 1
     _require_rank("translate_basis", rank)
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
-    delta = tmap.shift if direction == TO_CENTERED else -tmap.shift
-    shift_vector = 2.0 * delta
-    return [
-        TranslationTerm(math.comb(rank, p), p, outer_power(shift_vector, rank - p))
-        for p in range(rank + 1)
-    ]
-
-
-def assemble_translation(terms, partner_values) -> SymTensor:
-    """Sum C(n,p) sym_product(partner[p], shift^(n-p)) over the term list."""
-    pieces = [term.binom * sym_product(partner_values[term.partner_rank], term.shift_power) for term in terms]
-    return sum(pieces[1:], pieces[0])  # left to right from the first term
+    shift_vector = 2.0 * (tmap.shift if direction == TO_CENTERED else -tmap.shift)
+    pieces = [math.comb(rank, p) * sym_product(values[p], outer_power(shift_vector, rank - p)) for p in range(rank + 1)]
+    return sum(pieces[1:], pieces[0])
 
 
 def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> SymTensor:
     """Evaluate one frame's H_rank at a 3-vector z going through the other frame's basis."""
-    terms = translate_basis(rank, tmap, direction)
+    _require_rank("translate_basis", rank)
     center = tmap.za if direction == TO_CENTERED else tmap.z00
     partner = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(center))
-    return assemble_translation(terms, partner.values)
+    return translate_basis(partner.values, tmap, direction)
 
 
 def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
@@ -182,8 +165,8 @@ def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
 def _roundtrip(rank: int, tmap: TranslationMap, z) -> tuple[list[SymTensor], float]:
     """H_0..H_rank at z - z00 assembled from the frame at za ("r->0"), and the residual of translating them back."""
     original = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(tmap.za)).values
-    forward = [assemble_translation(translate_basis(k, tmap, TO_CENTERED), original) for k in range(rank + 1)]
-    back = [assemble_translation(translate_basis(k, tmap, TO_AVERAGE), forward) for k in range(rank + 1)]
+    forward = [translate_basis(original[: k + 1], tmap, TO_CENTERED) for k in range(rank + 1)]
+    back = [translate_basis(forward[: k + 1], tmap, TO_AVERAGE) for k in range(rank + 1)]
     return forward, float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))
 
 

@@ -321,7 +321,7 @@ POSITIVE_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "-0.5", "-2.5e3", "-.5", "inf", "nan"])
+@pytest.mark.parametrize("value", ["-1", "0", "-0.5", "-2.5e3", "-.5", "inf", "nan", "-inf", "-nan"])
 @pytest.mark.parametrize("argv", POSITIVE_OPTIONS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
 def test_positive_option_refusal_names_what_was_typed(argv, value, capsys):
     assert invoke([*argv, value]) == (2, "")
@@ -341,6 +341,16 @@ def test_negative_value_after_a_space_is_the_value(argv, option, value):
     # argparse alone reads "-300,0,0" as an unknown option and refuses "--drift" for want of its value
     code, text = invoke([*argv, f"{option}={value}"])
     assert code == 0 and invoke([*argv, option, value]) == (code, text)
+
+
+@pytest.mark.parametrize("value", ["-inf,0,0", "-nan,0,0", "-Inf,0,0"])
+def test_negative_non_finite_drift_after_a_space_is_the_value(value, capsys):
+    # argparse alone refuses "--drift" for want of its value; the vector refusal must be the one "=" gets
+    assert invoke([*EXPAND, f"--drift={value}"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --drift must be a finite 3-vector, got [")
+    assert invoke([*EXPAND, "--drift", value]) == (2, "")
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=" ".join)

@@ -1,9 +1,10 @@
 """Every rank cap and input guard in one table each: each refuses what is out of range the same way.
 
 The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
-dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``; every integer entry also
-refuses a float, an np.float64 and a str, and takes an np.int64), points (the point reader ``_read_points``),
-and 6-D points (the ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
+dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
+``_read_series``; every integer entry also refuses a float, an np.float64 and a str, and takes an np.int64),
+points (the point reader ``_read_points``), and 6-D points (the ``mixed6`` reader on top of it).  Each refusal
+is a ``ValueError`` naming the parameter.
 """
 import functools
 import io
@@ -97,7 +98,7 @@ LIBRARY = {
     ("invariance_per_species", "distribution_invariance"): (
         lambda r: distribution_invariance(expansion(0), expansion(r), PAIR, np.zeros((3, 6)))
     ),
-    ("translate_basis", "translate_basis"): lambda r: translate_basis(r, TMAP, TO_CENTERED),
+    ("translate_basis", "translate_basis"): lambda r: translate_basis([zeros(3, n) for n in range(r + 1)], TMAP, TO_CENTERED),
     ("translation_roundtrip", "translation_roundtrip"): lambda r: translation_roundtrip(r, TMAP, np.array([0.3, -1.2, 0.8])),
 }
 
@@ -200,6 +201,12 @@ def test_positive_guard_names_the_parameter(entry, parameter, value):
 Z = (0.3, -0.1, 0.5)
 RULE = gauss_hermite_rule(8)
 
+
+def series(name, dim):
+    """The series reader's refusal of the parameter ``name``."""
+    return f"{name} must be a list or tuple of {dim}-D SymTensors of ranks 0, 1, 2, ... in order"
+
+
 # entry -> (a call with one input refused and every other input admissible, the refusal): an integer, the
 # dimension or the step out of range, or an input of the wrong shape or kind; outer_power's power is the rank of
 # its result.  _require_order's refusal is pinned by test_negative_ranks_are_refused
@@ -224,12 +231,15 @@ INTEGER = {
     "ExpansionCoefficients count": (
         lambda: ExpansionCoefficients(1, (zeros(3, 0),)), "need one coefficient tensor per rank 0..max_rank"
     ),
-    "ExpansionCoefficients rank": (
-        lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(3, 2))), "coefficient 1 has wrong rank or dim"
-    ),
-    "ExpansionCoefficients dim": (
-        lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(6, 1))), "coefficient 1 has wrong rank or dim"
-    ),
+    "ExpansionCoefficients rank": (lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(3, 2))), series("coeffs", 3)),
+    "ExpansionCoefficients dim": (lambda: ExpansionCoefficients(1, (zeros(3, 0), zeros(6, 1))), series("coeffs", 3)),
+    "ExpansionCoefficients floats": (lambda: ExpansionCoefficients(1, (1.0, 2.0)), series("coeffs", 3)),
+    "ExpansionCoefficients int": (lambda: ExpansionCoefficients(1, 5), series("coeffs", 3)),
+    "mixed_reconstruct float": (lambda: mixed_reconstruct(3.0, np.zeros(6)), series("alphas", 6)),
+    "translate_basis 1.5": (lambda: translate_basis(1.5, TMAP, TO_CENTERED), series("values", 3)),
+    "translate_basis '2'": (lambda: translate_basis("2", TMAP, TO_CENTERED), series("values", 3)),
+    "translate_basis 6-D": (lambda: translate_basis([zeros(6, 0), zeros(6, 1)], TMAP, TO_CENTERED), series("values", 3)),
+    "translate_basis order": (lambda: translate_basis([zeros(3, 1), zeros(3, 0)], TMAP, TO_CENTERED), series("values", 3)),
     "expand vectorized": (
         lambda: expand(lambda p: np.zeros(3), 1, RULE, vectorized=True), "vectorized integrand must return one value per point"
     ),
@@ -269,7 +279,6 @@ INTEGER_PARAMETERS = {
     "expand": (lambda v: expand(maxwellian, v, RULE, vectorized=True), "rank", ">= 0"),
     "truncation_error": (lambda v: truncation_error(maxwellian, v, RULE, vectorized=True), "rank", ">= 0"),
     "ExpansionCoefficients": (lambda v: ExpansionCoefficients(v, tuple(zeros(3, n) for n in range(3))), "max_rank", ">= 0"),
-    "translate_basis": (lambda v: translate_basis(v, TMAP, TO_CENTERED), "translate_basis rank", "within 0..6"),
     "translated_hermite": (lambda v: translated_hermite(v, TMAP, TO_CENTERED, Z), "translate_basis rank", "within 0..6"),
     "translation_roundtrip": (lambda v: translation_roundtrip(v, TMAP, Z), "translation_roundtrip rank", "within 0..5"),
     "mixed_hermite": (lambda v: mixed_hermite(v, np.zeros(6)), "mixed rank", "within 0..4"),

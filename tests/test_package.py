@@ -26,8 +26,12 @@ EARLIER_EXPORTS = [
 ]
 
 # names no library route calls and no test compares against, deleted; product_rows and product_oracle, the
-# product-form oracle, live in tests/hermite_oracles.py; MAX_MIXED_RANK was never in the root list
-REMOVED = ["MultiIndex", "canonicalize", "sym_raw", "hermite_1d", "product_oracle", "product_rows", "MAX_MIXED_RANK"]
+# product-form oracle, live in tests/hermite_oracles.py; MAX_MIXED_RANK was never in the root list;
+# translate_basis takes the partner tensors and returns the translated one, so its term record and assembler went
+REMOVED = [
+    "MultiIndex", "canonicalize", "sym_raw", "hermite_1d", "product_oracle", "product_rows", "MAX_MIXED_RANK",
+    "TranslationTerm", "assemble_translation",
+]
 
 # the root's __all__, module by module in the order of MODULES
 EXPORTS = [
@@ -38,9 +42,9 @@ EXPORTS = [
     "AdmissibilityResult", "ExpansionCoefficients", "NonFiniteIntegrandError", "QuadratureRule", "WeightSpec",
     "expand", "gauss_hermite_rule", "grid_points", "grid_weights", "integrate3", "l2_admissible", "ortho_matrix",
     "reconstruct", "truncation_error",
-    "ProbeResult", "ScalingMap", "TranslationMap", "TranslationTerm", "alpha_from_temperatures",
-    "assemble_translation", "convergence_probe", "orthogonality_after_translation", "scaling_admissible",
-    "temperature_window", "translate_basis", "translated_hermite", "translation_roundtrip",
+    "ProbeResult", "ScalingMap", "TranslationMap", "alpha_from_temperatures", "convergence_probe",
+    "orthogonality_after_translation", "scaling_admissible", "temperature_window", "translate_basis",
+    "translated_hermite", "translation_roundtrip",
     "BOLTZMANN", "BlockRotation", "COM_RELATIVE_FRAME", "MixedPoint", "SPECIES_FRAME", "SpeciesPair",
     "com_relative_from_velocities", "distribution_invariance", "equivariance_residual", "from_com_relative",
     "mixed_hermite", "mixed_reconstruct", "product_distribution", "rotate_coefficients", "rotate_rank_n",

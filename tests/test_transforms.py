@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hermtensor.hermite import hermite_phys
 from hermtensor.quadrature import gauss_hermite_rule, grid_points, grid_weights, ortho_matrix
-from hermtensor.symtensor import inner, max_component_diff
+from hermtensor.symtensor import SymTensor, inner, max_component_diff, n_components, outer_power, sym_product
 from hermtensor.transforms import (
     DIVERGENCE_RATIO,
     TO_AVERAGE,
@@ -16,7 +16,6 @@ from hermtensor.transforms import (
     ScalingMap,
     TranslationMap,
     alpha_from_temperatures,
-    assemble_translation,
     convergence_probe,
     orthogonality_after_translation,
     scaling_admissible,
@@ -224,21 +223,24 @@ def test_probe_stays_finite_where_the_grid_sum_overflows():
 
 
 def test_translate_basis_term_structure():
-    tmap = TranslationMap((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))
-    terms = translate_basis(3, tmap, TO_CENTERED)
-    assert [t.binom for t in terms] == [1, 3, 3, 1]
-    assert [t.partner_rank for t in terms] == [0, 1, 2, 3]
-    assert [t.shift_power.rank for t in terms] == [3, 2, 1, 0]
-    # shift power carries 2 * (za - z00)
-    assert terms[2].shift_power[(0,)] == pytest.approx(1.0)
+    # with H_p alone nonzero, the result is the binomial term C(3, p) sym(H_p, [2 (za - z00)]^(3-p)), bit for bit
+    z00, za = (0.1, -0.3, 0.2), (0.6, 0.4, -0.5)
+    tmap = TranslationMap(z00, za)
+    values = hermite_phys(3, np.array([0.7, -0.2, 1.1])).values
+    shift_vector = 2.0 * (np.asarray(za) - np.asarray(z00))
+    for p in range(4):
+        alone = [v if n == p else SymTensor(3, n, np.zeros(n_components(n, 3))) for n, v in enumerate(values)]
+        want = math.comb(3, p) * sym_product(values[p], outer_power(shift_vector, 3 - p))
+        assert translate_basis(alone, tmap, TO_CENTERED).data.tobytes() == want.data.tobytes()
 
 
 def test_translate_basis_validation():
     tmap = TranslationMap((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        translate_basis(7, tmap, TO_CENTERED)
-    with pytest.raises(ValueError):
-        translate_basis(2, tmap, "sideways")
+    values = hermite_phys(7, np.zeros(3)).values
+    with pytest.raises(ValueError, match="translate_basis rank must be an integer within 0..6, got 7"):
+        translate_basis(values, tmap, TO_CENTERED)
+    with pytest.raises(ValueError, match="direction must be one of"):
+        translate_basis(values[:3], tmap, "sideways")
 
 
 def test_translated_equals_direct_evaluation():
@@ -263,11 +265,9 @@ def test_translation_composes_across_frames():
     z = rng.uniform(-1.5, 1.5, 3)
     values_b = hermite_phys(5, z - np.asarray(zb)).values
     step = TranslationMap(za, zb)
-    values_a = [
-        assemble_translation(translate_basis(p, step, TO_CENTERED), values_b) for p in range(6)
-    ]
+    values_a = [translate_basis(values_b[: p + 1], step, TO_CENTERED) for p in range(6)]
     for rank in range(6):
-        via = assemble_translation(translate_basis(rank, TranslationMap(z00, za), TO_CENTERED), values_a)
+        via = translate_basis(values_a[: rank + 1], TranslationMap(z00, za), TO_CENTERED)
         direct = translated_hermite(rank, TranslationMap(z00, zb), TO_CENTERED, z)
         assert max_component_diff(via, direct) < 1e-9
 

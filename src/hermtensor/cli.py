@@ -170,8 +170,6 @@ def cmd_basis(args) -> tuple[dict, int]:
         "seed": args.seed,
     }
     if args.symbolic:
-        if args.point is not None:
-            raise ValueError("--symbolic and --point are mutually exclusive")
         _require_rank("basis_symbolic", args.rank)
         tensor = hermite_symbolic(args.rank, dim=3, convention=convention)[args.rank]
         components = [
@@ -252,8 +250,7 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
         grams = [(ortho_matrix(m, n, rule, convention), _expected_gram(m, n, convention)) for m in ranks for n in ranks]
         worst = np.max([np.max(np.abs(gram - expected)) for gram, expected in grams])
         rows.append(_check(f"{name}-orthogonality", worst, 1e-8))
-    config = {"max_rank": args.max_rank, "quad_order": args.quad_order}
-    return config, rows
+    return {"max_rank": args.max_rank, "quad_order": args.quad_order}, rows
 
 
 def _suite_translate(args) -> tuple[dict, list[dict]]:
@@ -279,8 +276,7 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
         _check("roundtrip", roundtrip_worst, 1e-9),
         _check("broken-orthogonality", broken, 1e-3, mode="min"),
     ]
-    config = {"max_rank": args.max_rank, "maps": args.maps, "quad_order": args.quad_order}
-    return config, rows
+    return {"max_rank": args.max_rank, "maps": args.maps, "quad_order": args.quad_order}, rows
 
 
 def _suite_scale(args) -> tuple[dict, list[dict]]:
@@ -297,8 +293,7 @@ def _suite_scale(args) -> tuple[dict, list[dict]]:
         row["classification"] = result.classification
         row["pass"] = (result.classification == "finite") == expected_finite
         rows.append(row)
-    config = {"alphas": [float(a) for a in alphas], "z0": list(z0), "quad_order": args.quad_order}
-    return config, rows
+    return {"alphas": [float(a) for a in alphas], "z0": list(z0), "quad_order": args.quad_order}, rows
 
 
 def _suite_rotate(args) -> tuple[dict, list[dict]]:
@@ -322,26 +317,17 @@ def _suite_rotate(args) -> tuple[dict, list[dict]]:
         _check("equivariance", equivariance, 1e-10),
         _check("distribution-invariance", residual / max(peak, 1e-300), 1e-10),
     ]
-    config = {
+    return {
         "ms_u": args.ms,
         "msp_u": args.msp,
         "temperature": args.temperature,
         "max_rank": args.max_rank,
         "points": args.points,
-    }
-    return config, rows
-
-
-_SUITES = {
-    "ortho": _suite_ortho,
-    "translate": _suite_translate,
-    "scale": _suite_scale,
-    "rotate": _suite_rotate,
-}
+    }, rows
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    config, rows = _SUITES[args.suite](args)
+    config, rows = args.suite_func(args)
     config["seed"] = args.seed
     passed = all(r["pass"] for r in rows)
     report = {
@@ -371,37 +357,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command and per ``verify`` suite, each taking only the options its function reads."""
     parser = _Parser(prog="hermtensor", description="Tensor Hermite basis toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, **defaults):  # last, so every usage line ends with them; names the function main calls
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(**defaults)
 
     p_basis = sub.add_parser("basis", help="print canonical basis components")
     p_basis.add_argument("--rank", type=int, required=True)
-    p_basis.add_argument("--point", type=str, default=None, help="comma-separated 3-vector")
-    p_basis.add_argument("--symbolic", action="store_true")
+    where = p_basis.add_mutually_exclusive_group()
+    where.add_argument("--point", type=str, default=None, help="comma-separated 3-vector")
+    where.add_argument("--symbolic", action="store_true")
     p_basis.add_argument("--convention", choices=["physicist", "probabilist"], default="physicist")
-    common(p_basis)
+    common(p_basis, func=cmd_basis)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(_SUITES))
-    p_verify.add_argument("--max-rank", type=int, default=3)
-    p_verify.add_argument("--quad-order", type=int, default=12)
-    p_verify.add_argument("--maps", type=_count, default=20)
-    p_verify.add_argument("--points", type=_count, default=20)
-    p_verify.add_argument("--alpha", type=float, action="append")
-    p_verify.add_argument("--z0", type=str, default="1,0,0")
-    p_verify.add_argument("--ms", type=_positive, default=16.0, help="unprimed mass in u")
-    p_verify.add_argument("--msp", type=_positive, default=16.0, help="primed mass in u")
-    p_verify.add_argument("--temperature", type=_positive, default=300.0)
-    common(p_verify)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(dest="suite", required=True)
+    options = {
+        "--max-rank": {"type": int, "default": 3},
+        "--quad-order": {"type": int, "default": 12},
+        "--maps": {"type": _count, "default": 20},
+        "--points": {"type": _count, "default": 20},
+        "--alpha": {"type": float, "action": "append"},
+        "--z0": {"type": str, "default": "1,0,0"},
+        "--ms": {"type": _positive, "default": 16.0, "help": "unprimed mass in u"},
+        "--msp": {"type": _positive, "default": 16.0, "help": "primed mass in u"},
+        "--temperature": {"type": _positive, "default": 300.0},
+    }
+    for name, func, flags in (
+        ("ortho", _suite_ortho, ("--max-rank", "--quad-order")),
+        ("rotate", _suite_rotate, ("--max-rank", "--points", "--ms", "--msp", "--temperature")),
+        ("scale", _suite_scale, ("--alpha", "--z0", "--quad-order")),
+        ("translate", _suite_translate, ("--max-rank", "--maps", "--quad-order")),
+    ):
+        p_suite = suites.add_parser(name)
+        for flag in flags:
+            p_suite.add_argument(flag, **options[flag])
+        common(p_suite, func=cmd_verify, suite_func=func)
 
     p_window = sub.add_parser("window", help="basis temperature window for an ion/neutral pair")
     p_window.add_argument("--ti", type=_positive, required=True)
     p_window.add_argument("--tn", type=_positive, required=True)
-    common(p_window)
+    common(p_window, func=cmd_window)
 
     p_expand = sub.add_parser("expand", help="expand a drifting Maxwellian given physical inputs")
     p_expand.add_argument("--mass", type=_positive, required=True, help="molecular mass in u")
@@ -410,17 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--density", type=_positive, default=1.0)
     p_expand.add_argument("--max-rank", type=int, default=3)
     p_expand.add_argument("--quad-order", type=int, default=16)
-    common(p_expand)
+    common(p_expand, func=cmd_expand)
 
     return parser
-
-
-_COMMANDS = {
-    "basis": cmd_basis,
-    "verify": cmd_verify,
-    "window": cmd_window,
-    "expand": cmd_expand,
-}
 
 
 def main(argv=None, stdout=None) -> int:
@@ -432,7 +423,7 @@ def main(argv=None, stdout=None) -> int:
         return int(exc.code or 0)
     try:
         with np.errstate(all="ignore"):  # a non-finite result is refused (exit 3) or a verify row, never a warning
-            report, code = _COMMANDS[args.command](args)
+            report, code = args.func(args)
     except ArithmeticError as exc:  # NonFiniteIntegrandError included
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
+from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_expansion, _require_rank, _series
 from .symtensor import SymTensor, _frozen, _read_points, _read_series, _require_positive, max_component_diff, sym_product
 
 __all__ = [
@@ -235,6 +235,7 @@ def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoeffi
     3..5).  Contracting the result against the mixed basis reproduces the
     product of the two series.
     """
+    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
     top = coeff_s.max_rank + coeff_sp.max_rank
     _require_rank("mixed", top)
     upper, lower = [_block(t, 0) for t in coeff_sp.coeffs], [_block(t, 3) for t in coeff_s.coeffs]
@@ -247,7 +248,7 @@ def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoeffi
 
 def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
     """Rotate every stacked coefficient tensor slot-wise into the other frame."""
-    return [rotate_rank_n(rot, a) for a in alphas]
+    return [rotate_rank_n(rot, a) for a in _read_series("alphas", alphas, 6)]
 
 
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
@@ -261,6 +262,7 @@ def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoef
 
     Points are as for ``mixed_reconstruct``, but a MixedPoint must be in the species frame.
     """
+    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
     return _product(coeff_s, coeff_sp, *_points6("points", points, SPECIES_FRAME))
 
 
@@ -278,6 +280,7 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     describe the same distribution, so the residual is pure round-off.
     Points are as for ``product_distribution``; with none the mismatch is 0.0.
     """
+    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
     _require_rank("invariance_per_species", max(coeff_s.max_rank, coeff_sp.max_rank))
     coords = _points6("points", points, SPECIES_FRAME)[0]
     rot = BlockRotation.from_pair(pair)

@@ -298,6 +298,13 @@ class ExpansionCoefficients:
         return self.coeffs[rank]
 
 
+def _require_expansion(**named) -> None:
+    """Refuse each keyword value that is not an ExpansionCoefficients, naming it."""
+    for name, value in named.items():
+        if not isinstance(value, ExpansionCoefficients):
+            raise ValueError(f"{name} must be an ExpansionCoefficients, got {type(value).__name__}")
+
+
 def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorized: bool = False) -> ExpansionCoefficients:
     """Project a distribution onto the physicist tensor Hermite basis.
 
@@ -410,6 +417,7 @@ def _series(tensors, f0: float, pts: np.ndarray, single: bool):
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
     """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one 3-vector (a float) or a (K, 3) batch, axis by axis."""
+    _require_expansion(coeffs=coeffs)
     return _series(coeffs.coeffs, coeffs.f0, *_read_points("z", z, 3))
 
 

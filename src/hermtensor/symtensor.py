@@ -115,11 +115,20 @@ def n_components(rank: int, dim: int) -> int:
     return math.comb(rank + dim - 1, dim - 1)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is refused, never served from the entry of 2
-def canonical_index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
-    """All canonical index tuples of the given rank, in lexicographic order."""
+def _shape_key(rank: int, dim: int) -> tuple[int, int]:
+    """(rank, dim) as ints once the guards pass: a cache key with one entry for 2 and np.int64(2), none for 2.0."""
     _check_dim(dim)
     _require_integer("rank", rank)
+    return operator.index(rank), operator.index(dim)
+
+
+def canonical_index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
+    """All canonical index tuples of the given rank, in lexicographic order (cached per rank and dimension)."""
+    return _index_tuples(*_shape_key(rank, dim))
+
+
+@lru_cache(maxsize=None)
+def _index_tuples(rank: int, dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations_with_replacement(range(dim), rank))
 
 
@@ -149,9 +158,14 @@ def multiplicity(index) -> int:
     return count
 
 
-@lru_cache(maxsize=None, typed=True)
 def multiplicity_vector(rank: int, dim: int) -> np.ndarray:
-    return _frozen(np.array([multiplicity(t) for t in canonical_index_tuples(rank, dim)], dtype=np.float64))
+    """Multiplicity of each canonical tuple, read-only float64 (cached per rank and dimension)."""
+    return _multiplicities(*_shape_key(rank, dim))
+
+
+@lru_cache(maxsize=None)
+def _multiplicities(rank: int, dim: int) -> np.ndarray:
+    return _frozen(np.array([multiplicity(t) for t in _index_tuples(rank, dim)], dtype=np.float64))
 
 
 def _component_array(values) -> np.ndarray:

@@ -65,8 +65,9 @@ def test_basis_rank_overflow_exits_2():
     assert invoke(["basis", "--rank", "5", "--symbolic"])[0] == 2
 
 
-def test_basis_symbolic_point_conflict():
-    assert invoke(["basis", "--rank", "2", "--symbolic", "--point", "1,0,0"])[0] == 2
+def test_basis_symbolic_point_conflict(capsys):
+    assert invoke(["basis", "--rank", "2", "--symbolic", "--point", "1,0,0"]) == (2, "")
+    assert "argument --point: not allowed with argument --symbolic" in capsys.readouterr().err
 
 
 def test_basis_malformed_point():
@@ -193,10 +194,50 @@ def test_verify_nan_after_finite_residual_fails(monkeypatch, suite, name, check)
         return (value[0], value[1] * math.nan) if name == "_roundtrip" else value * math.nan  # (forward, residual)
 
     monkeypatch.setattr(cli, name, finite_then_nan)
-    code, report = invoke_json(["verify", suite, "--maps", "2", "--points", "2"])
+    code, report = invoke_json(["verify", suite, *{"translate": ["--maps", "2"], "rotate": ["--points", "2"]}.get(suite, [])])
     rows = {r["check"]: r for r in report["results"]}
     assert len(calls) > 1 and rows[check]["value"] == "nan" and rows[check]["pass"] is False
     assert code == 1 and report["pass"] is False
+
+
+# suite -> each option it reads, a value other than its default, and the config it echoes with --seed 5
+SUITE_OPTIONS = {
+    "ortho": (["--max-rank", "2", "--quad-order", "8"], {"max_rank": 2, "quad_order": 8}),
+    "rotate": (
+        ["--max-rank", "2", "--points", "2", "--ms", "4", "--msp", "16", "--temperature", "500"],
+        {"ms_u": 4.0, "msp_u": 16.0, "temperature": 500.0, "max_rank": 2, "points": 2},
+    ),
+    "scale": (["--alpha", "0.5", "--z0", "0,1,0", "--quad-order", "16"], {"alphas": [0.5], "z0": [0.0, 1.0, 0.0], "quad_order": 16}),
+    "translate": (["--max-rank", "2", "--maps", "2", "--quad-order", "10"], {"max_rank": 2, "maps": 2, "quad_order": 10}),
+}
+VERIFY_OPTIONS = {
+    "--max-rank": "2", "--quad-order": "10", "--maps": "2", "--points": "2", "--alpha": "3", "--z0": "0,1,0",
+    "--ms": "1e9", "--msp": "4", "--temperature": "500",
+}
+FOREIGN_OPTIONS = [
+    (suite, option) for suite in sorted(SUITE_OPTIONS) for option in VERIFY_OPTIONS if option not in SUITE_OPTIONS[suite][0]
+]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_verify_suite_takes_its_own_options(suite):
+    argv, config = SUITE_OPTIONS[suite]
+    code, report = invoke_json(["verify", suite, *argv, "--format", "json", "--seed", "5"])
+    assert code == 0 and report["config"] == {**config, "seed": 5}
+    code, text = invoke(["verify", suite, *argv, "--format", "csv", "--seed", "5"])
+    assert code == 0 and text.startswith("check,value,tolerance,mode,pass")
+
+
+@pytest.mark.parametrize("suite, option", FOREIGN_OPTIONS, ids=" ".join)
+def test_verify_suite_refuses_an_option_it_does_not_read(suite, option, capsys):
+    # an option another suite reads is refused, never accepted and ignored
+    assert invoke(["verify", suite, option, VERIFY_OPTIONS[option]]) == (2, "")
+    assert f"unrecognized arguments: {option} {VERIFY_OPTIONS[option]}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--seed", "3", "ortho"], ["verify", "--format", "csv", "ortho"]], ids=" ".join)
+def test_verify_options_follow_the_suite_name(argv):
+    assert invoke(argv) == (2, "")
 
 
 def test_csv_output_shape():

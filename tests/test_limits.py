@@ -2,9 +2,9 @@
 
 The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
-``_read_series``; every integer entry also refuses a float, an np.float64 and a str, and takes an np.int64),
-points (the point reader ``_read_points``), and 6-D points (the ``mixed6`` reader on top of it).  Each refusal
-is a ``ValueError`` naming the parameter.
+``_read_series``, the expansion guard ``_require_expansion``; every integer entry also refuses a float, an
+np.float64 and a str, and takes an np.int64), points (the point reader ``_read_points``), and 6-D points (the
+``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
 """
 import functools
 import io
@@ -36,6 +36,7 @@ from hermtensor.mixed6 import (
     mixed_hermite,
     mixed_reconstruct,
     product_distribution,
+    rotate_coefficients,
     rotate_rank_n,
     species_point_from_velocities,
     stack_coefficients,
@@ -49,6 +50,7 @@ from hermtensor.quadrature import (
     expand,
     gauss_hermite_rule,
     ortho_matrix,
+    reconstruct,
     truncation_error,
 )
 from hermtensor.symtensor import (
@@ -207,6 +209,11 @@ def series(name, dim):
     return f"{name} must be a list or tuple of {dim}-D SymTensors of ranks 0, 1, 2, ... in order"
 
 
+def not_expansion(name):
+    """The expansion guard's refusal of the float given as ``name``."""
+    return f"{name} must be an ExpansionCoefficients, got float"
+
+
 # entry -> (a call with one input refused and every other input admissible, the refusal): an integer, the
 # dimension or the step out of range, or an input of the wrong shape or kind; outer_power's power is the rank of
 # its result.  _require_order's refusal is pinned by test_negative_ranks_are_refused
@@ -236,6 +243,15 @@ INTEGER = {
     "ExpansionCoefficients floats": (lambda: ExpansionCoefficients(1, (1.0, 2.0)), series("coeffs", 3)),
     "ExpansionCoefficients int": (lambda: ExpansionCoefficients(1, 5), series("coeffs", 3)),
     "mixed_reconstruct float": (lambda: mixed_reconstruct(3.0, np.zeros(6)), series("alphas", 6)),
+    "rotate_coefficients float": (lambda: rotate_coefficients(3.0, BlockRotation.from_pair(PAIR)), series("alphas", 6)),
+    "rotate_coefficients floats": (lambda: rotate_coefficients([1.0], BlockRotation.from_pair(PAIR)), series("alphas", 6)),
+    "reconstruct float": (lambda: reconstruct(3.0, Z), not_expansion("coeffs")),
+    "stack_coefficients floats": (lambda: stack_coefficients(3.0, 4.0), not_expansion("coeff_s")),
+    "stack_coefficients coeff_sp": (lambda: stack_coefficients(expansion(1), 4.0), not_expansion("coeff_sp")),
+    "product_distribution float": (lambda: product_distribution(3.0, expansion(1), np.zeros(6)), not_expansion("coeff_s")),
+    "distribution_invariance float": (
+        lambda: distribution_invariance(expansion(1), 3.0, PAIR, np.zeros(6)), not_expansion("coeff_sp")
+    ),
     "translate_basis 1.5": (lambda: translate_basis(1.5, TMAP, TO_CENTERED), series("values", 3)),
     "translate_basis '2'": (lambda: translate_basis("2", TMAP, TO_CENTERED), series("values", 3)),
     "translate_basis 6-D": (lambda: translate_basis([zeros(6, 0), zeros(6, 1)], TMAP, TO_CENTERED), series("values", 3)),

@@ -68,6 +68,13 @@ def test_multiplicities_sum_to_dim_power_rank(dim, rank):
     assert multiplicity_vector(rank, dim).sum() == dim**rank
 
 
+def test_one_table_per_rank_whatever_its_integer_type():
+    # an np.int64 rank or dimension is served the int's entry, so one rank builds its tuples and multiplicities once
+    for rank, dim in ((np.int64(2), 3), (2, np.int64(3)), (np.int64(4), np.int64(6))):
+        assert canonical_index_tuples(rank, dim) is canonical_index_tuples(int(rank), int(dim))
+        assert multiplicity_vector(rank, dim) is multiplicity_vector(int(rank), int(dim))
+
+
 @pytest.mark.parametrize("dim,rank,count", [(3, 2, 6), (3, 3, 10), (3, 6, 28), (6, 3, 56), (6, 4, 126)])
 def test_component_counts(dim, rank, count):
     assert n_components(rank, dim) == count

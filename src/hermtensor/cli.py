@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hermite import PHYSICIST, PROBABILIST, evaluate_basis, hermite_phys, hermite_symbolic
+from .hermite import PHYSICIST, HermiteConvention, evaluate_basis, hermite_phys, hermite_symbolic
 from .mixed6 import (
     BlockRotation,
     SpeciesPair,
@@ -162,7 +162,6 @@ def _term(exponents, coefficient: Fraction) -> dict:
 
 
 def cmd_basis(args) -> tuple[dict, int]:
-    convention = PHYSICIST if args.convention == "physicist" else PROBABILIST
     config = {
         "rank": args.rank,
         "convention": args.convention,
@@ -171,7 +170,7 @@ def cmd_basis(args) -> tuple[dict, int]:
     }
     if args.symbolic:
         _require_rank("basis_symbolic", args.rank)
-        tensor = hermite_symbolic(args.rank, dim=3, convention=convention)[args.rank]
+        tensor = hermite_symbolic(args.rank, dim=3, convention=args.convention)[args.rank]
         components = [
             {"index": list(idx), "terms": [_term(*term) for term in value.terms()]}
             for idx, value in zip(canonical_index_tuples(args.rank, 3), tensor.data)
@@ -180,7 +179,7 @@ def cmd_basis(args) -> tuple[dict, int]:
         _require_rank("basis", args.rank)
         point = _parse_vector("--point", args.point) if args.point is not None else (0.0, 0.0, 0.0)
         config["point"] = list(point)
-        tensor = evaluate_basis(args.rank, point, dim=3, convention=convention)[args.rank]
+        tensor = evaluate_basis(args.rank, point, dim=3, convention=args.convention)[args.rank]
         _require_finite_result(f"a rank-{args.rank} basis value at {point}", tensor.data)
         components = [
             {"index": list(idx), "value": float(value)}
@@ -245,11 +244,11 @@ def _suite_ortho(args) -> tuple[dict, list[dict]]:
     rule = gauss_hermite_rule(args.quad_order)
     _require_order(rule, args.max_rank)
     rows = []
-    for name, convention in (("physicist", PHYSICIST), ("probabilist", PROBABILIST)):
+    for convention in HermiteConvention:
         ranks = range(args.max_rank + 1)
         grams = [(ortho_matrix(m, n, rule, convention), _expected_gram(m, n, convention)) for m in ranks for n in ranks]
         worst = np.max([np.max(np.abs(gram - expected)) for gram, expected in grams])
-        rows.append(_check(f"{name}-orthogonality", worst, 1e-8))
+        rows.append(_check(f"{convention.value}-orthogonality", worst, 1e-8))
     return {"max_rank": args.max_rank, "quad_order": args.quad_order}, rows
 
 
@@ -261,7 +260,7 @@ def _suite_translate(args) -> tuple[dict, list[dict]]:
     for _ in range(args.maps):
         tmap = TranslationMap(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
         z = rng.uniform(-2.0, 2.0, 3)
-        direct = hermite_phys(args.max_rank, z - np.asarray(tmap.z00)).values
+        direct = hermite_phys(args.max_rank, z - np.asarray(tmap.z00))
         forward, residual = _roundtrip(args.max_rank, tmap, z)  # forward[rank] is H_rank at z - z00 via the frame at za
         for got, want in zip(forward, direct):
             diff = np.max(np.abs(got.data - want.data)) / np.maximum(1.0, np.max(np.abs(want.data)))
@@ -345,13 +344,15 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with "-" or "-." and a digit, or with "-inf" or "-nan" in any case, as a value:
-    "--drift -300,0,0", "--mass -2.5e3", "--ms -inf".
+    "--drift -300,0,0", "--mass -2.5e3", "--ms -inf".  Takes every option by its exact name only.
 
     argparse's own pattern (a private attribute, set per instance) takes no exponent, no comma list and no
-    non-finite value.
+    non-finite value.  Its prefix matching would take "--m" for "--max-rank" where no sibling option also
+    starts with "--m", so which spellings a command took would depend on its other options.
     """
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 

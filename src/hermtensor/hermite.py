@@ -18,9 +18,7 @@ form at whole points as the oracle of both routes.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +28,10 @@ from .symtensor import (
 )
 
 __all__ = [
-    "BasisEvaluation",
     "HermiteConvention",
     "PHYSICIST",
     "PROBABILIST",
     "PolyScalar",
-    "convert",
     "evaluate_basis",
     "grad_check",
     "hermite_phys",
@@ -160,30 +156,19 @@ class PolyScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class BasisEvaluation:
-    """Tensor Hermite values H_0..H_max_rank at one point."""
-
-    convention: HermiteConvention
-    max_rank: int
-    point: tuple[float, ...]
-    values: tuple[SymTensor, ...]
-
-    def __getitem__(self, rank: int) -> SymTensor:
-        return self.values[rank]
-
-
 def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     """Hermite tensors of rank 0..max_rank at one point via the three-term recursion.
 
     ``components`` holds the d coordinates, either floats or exact
     PolyScalars (then the tensors are coefficient tables).  Array
     coordinates are refused with ``ValueError``; values at many points come
-    from the quadrature module's 1-D tables.  Returns a list of SymTensor,
-    one per rank.
+    from the quadrature module's 1-D tables.  ``convention`` is a
+    HermiteConvention or its value, "physicist" or "probabilist"; anything
+    else raises ``ValueError``.  Returns a list of SymTensor, one per rank.
     """
     _check_dim(dim)
     _require_integer("max_rank", max_rank)
+    convention = HermiteConvention(convention)
     comps = list(components)
     if len(comps) != dim:
         raise ValueError(f"expected {dim} coordinates, got {len(comps)}")
@@ -199,43 +184,26 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     return values
 
 
-def hermite_phys(max_rank: int, z) -> BasisEvaluation:
+def hermite_phys(max_rank: int, z) -> list[SymTensor]:
     """Physicist tensor Hermite polynomials H_0..H_max_rank at a 3- or 6-vector z."""
     return _basis(max_rank, z, PHYSICIST)
 
 
-def hermite_prob(max_rank: int, z) -> BasisEvaluation:
+def hermite_prob(max_rank: int, z) -> list[SymTensor]:
     """Probabilist (Grad) tensor Hermite polynomials He_0..He_max_rank at a 3- or 6-vector z."""
     return _basis(max_rank, z, PROBABILIST)
 
 
-def _basis(max_rank: int, z, convention: HermiteConvention) -> BasisEvaluation:
-    point = tuple(_read_points("z", z, batch=False)[0][0].tolist())
-    return BasisEvaluation(convention, max_rank, point, tuple(evaluate_basis(max_rank, point, len(point), convention)))
+def _basis(max_rank: int, z, convention: HermiteConvention) -> list[SymTensor]:
+    point = _read_points("z", z, batch=False)[0][0].tolist()
+    return evaluate_basis(max_rank, point, len(point), convention)
 
 
 def hermite_symbolic(max_rank: int, dim: int = 3, convention=PHYSICIST):
     """Coefficient tables: each component is an exact PolyScalar in z."""
+    _check_dim(dim)
     variables = [PolyScalar.variable(dim, axis) for axis in range(dim)]
     return evaluate_basis(max_rank, variables, dim=dim, convention=convention)
-
-
-def convert(basis: BasisEvaluation, target: HermiteConvention) -> BasisEvaluation:
-    """Re-express an evaluation in the other convention.
-
-    The identity H_n(z) = 2**(n/2) He_n(sqrt(2) z) turns physicist values at
-    z into probabilist values at sqrt(2) z and back; the returned evaluation
-    carries the correspondingly rescaled point.
-    """
-    if target is basis.convention:
-        return basis
-    if basis.convention is PHYSICIST:
-        point = tuple(math.sqrt(2.0) * c for c in basis.point)
-        values = tuple(2.0 ** (-0.5 * n) * t for n, t in enumerate(basis.values))
-    else:
-        point = tuple(c / math.sqrt(2.0) for c in basis.point)
-        values = tuple(2.0 ** (0.5 * n) * t for n, t in enumerate(basis.values))
-    return BasisEvaluation(target, basis.max_rank, point, values)
 
 
 def _hermite_table(max_n: int, x, factor: float = 2.0) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_expansion, _require_rank, _series
+from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_kind, _require_rank, _series
 from .symtensor import SymTensor, _frozen, _read_points, _read_series, _require_positive, max_component_diff, sym_product
 
 __all__ = [
@@ -90,6 +90,7 @@ class BlockRotation:
 
     @classmethod
     def from_pair(cls, pair: SpeciesPair) -> "BlockRotation":
+        _require_kind(SpeciesPair, pair=pair)
         mu = pair.reduced_mass
         return cls(math.sqrt(mu / pair.m_s), math.sqrt(mu / pair.m_sp))
 
@@ -152,6 +153,7 @@ def from_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
 
 def species_point_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     """Nondimensionalize two physical velocities into the stacked frame."""
+    _require_kind(SpeciesPair, pair=pair)
     z_s = _read_points("v_s", v_s, 3, batch=False)[0][0] * pair.z_scale(pair.m_s)
     z_sp = _read_points("v_sp", v_sp, 3, batch=False)[0][0] * pair.z_scale(pair.m_sp)
     return MixedPoint.stack(z_sp, z_s, SPECIES_FRAME)
@@ -165,6 +167,7 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     route never touches the rotation matrix, so agreement with
     ``to_com_relative`` is a real consistency check.
     """
+    _require_kind(SpeciesPair, pair=pair)
     v_s = _read_points("v_s", v_s, 3, batch=False)[0][0]
     v_sp = _read_points("v_sp", v_sp, 3, batch=False)[0][0]
     v_cm = (pair.m_s * v_s + pair.m_sp * v_sp) / pair.total_mass
@@ -198,6 +201,7 @@ def mixed_hermite(N: int, x) -> list[SymTensor]:
 
 def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
     """Apply the block rotation to every slot of a symmetric 6-D tensor."""
+    _require_kind(BlockRotation, rot=rot)
     if t.dim != 6:
         raise ValueError("tensor must have dimension 6")
     _require_rank("mixed", t.rank)
@@ -235,7 +239,7 @@ def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoeffi
     3..5).  Contracting the result against the mixed basis reproduces the
     product of the two series.
     """
-    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
+    _require_kind(ExpansionCoefficients, coeff_s=coeff_s, coeff_sp=coeff_sp)
     top = coeff_s.max_rank + coeff_sp.max_rank
     _require_rank("mixed", top)
     upper, lower = [_block(t, 0) for t in coeff_sp.coeffs], [_block(t, 3) for t in coeff_s.coeffs]
@@ -262,7 +266,7 @@ def product_distribution(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoef
 
     Points are as for ``mixed_reconstruct``, but a MixedPoint must be in the species frame.
     """
-    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
+    _require_kind(ExpansionCoefficients, coeff_s=coeff_s, coeff_sp=coeff_sp)
     return _product(coeff_s, coeff_sp, *_points6("points", points, SPECIES_FRAME))
 
 
@@ -280,7 +284,7 @@ def distribution_invariance(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionC
     describe the same distribution, so the residual is pure round-off.
     Points are as for ``product_distribution``; with none the mismatch is 0.0.
     """
-    _require_expansion(coeff_s=coeff_s, coeff_sp=coeff_sp)
+    _require_kind(ExpansionCoefficients, coeff_s=coeff_s, coeff_sp=coeff_sp)
     _require_rank("invariance_per_species", max(coeff_s.max_rank, coeff_sp.max_rank))
     coords = _points6("points", points, SPECIES_FRAME)[0]
     rot = BlockRotation.from_pair(pair)

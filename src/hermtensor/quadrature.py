@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import PHYSICIST, _hermite_table
+from .hermite import PHYSICIST, HermiteConvention, _hermite_table
 from .symtensor import (
     SymTensor, _axis_counts, _frozen, _read_points, _read_series, _require_integer, _require_positive, multiplicity_vector,
 )
@@ -216,6 +216,7 @@ def _gram(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYSICIST, 
     """pi**(-3/2) sum_k w_k H_m,i H_n,j over the node triples, scaled by 1 (physicist) or sqrt(2), minus ``shift``."""
     _require_order(rule, m_rank)
     _require_order(rule, n_rank)
+    convention = HermiteConvention(convention)
     scale, factor = (1.0, 2.0) if convention is PHYSICIST else (math.sqrt(2.0), 1.0)
     rows, cols = _axis_counts(m_rank, 3), _axis_counts(n_rank, 3)
     gram = math.pi ** (-1.5)
@@ -230,8 +231,9 @@ def ortho_matrix(m_rank: int, n_rank: int, rule: QuadratureRule, convention=PHYS
 
     Physicist: pi**(-3/2) Integral exp(-z.z) H_m,i H_n,j; probabilist: the
     weight (2 pi)**(-3/2) exp(-z.z/2) against He_m,i He_n,j, mapped onto the
-    same nodes by the substitution z = sqrt(2) x.  Shape is (#components(m),
-    #components(n)); each entry is a product of three 1-D sums.
+    same nodes by the substitution z = sqrt(2) x.  ``convention`` is read as
+    in ``evaluate_basis``.  Shape is (#components(m), #components(n)); each
+    entry is a product of three 1-D sums.
     """
     _require_rank("ortho_matrix", m_rank)
     _require_rank("ortho_matrix", n_rank)
@@ -298,11 +300,12 @@ class ExpansionCoefficients:
         return self.coeffs[rank]
 
 
-def _require_expansion(**named) -> None:
-    """Refuse each keyword value that is not an ExpansionCoefficients, naming it."""
+def _require_kind(kind: type, **named) -> None:
+    """Refuse each keyword value that is not a ``kind``, naming it and the type it got."""
     for name, value in named.items():
-        if not isinstance(value, ExpansionCoefficients):
-            raise ValueError(f"{name} must be an ExpansionCoefficients, got {type(value).__name__}")
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise ValueError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorized: bool = False) -> ExpansionCoefficients:
@@ -417,7 +420,7 @@ def _series(tensors, f0: float, pts: np.ndarray, single: bool):
 
 def reconstruct(coeffs: ExpansionCoefficients, z):
     """Evaluate f0 exp(-z.z) sum_n inner(a_n, H_n(z)) at one 3-vector (a float) or a (K, 3) batch, axis by axis."""
-    _require_expansion(coeffs=coeffs)
+    _require_kind(ExpansionCoefficients, coeffs=coeffs)
     return _series(coeffs.coeffs, coeffs.f0, *_read_points("z", z, 3))
 
 

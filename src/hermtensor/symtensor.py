@@ -50,7 +50,8 @@ SUPPORTED_DIMS = (3, 6)
 
 
 def _check_dim(dim: int) -> None:
-    if dim not in SUPPORTED_DIMS:
+    """Refuse a dimension that is not an integer (``3.0 in (3, 6)`` is true) or not one of SUPPORTED_DIMS."""
+    if not (hasattr(dim, "__index__") and dim in SUPPORTED_DIMS):
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
 
 

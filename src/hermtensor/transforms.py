@@ -153,7 +153,7 @@ def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> Sy
     _require_rank("translate_basis", rank)
     center = tmap.za if direction == TO_CENTERED else tmap.z00
     partner = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(center))
-    return translate_basis(partner.values, tmap, direction)
+    return translate_basis(partner, tmap, direction)
 
 
 def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
@@ -164,7 +164,7 @@ def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
 
 def _roundtrip(rank: int, tmap: TranslationMap, z) -> tuple[list[SymTensor], float]:
     """H_0..H_rank at z - z00 assembled from the frame at za ("r->0"), and the residual of translating them back."""
-    original = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(tmap.za)).values
+    original = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(tmap.za))
     forward = [translate_basis(original[: k + 1], tmap, TO_CENTERED) for k in range(rank + 1)]
     back = [translate_basis(forward[: k + 1], tmap, TO_AVERAGE) for k in range(rank + 1)]
     return forward, float(np.max([max_component_diff(back[k], original[k]) for k in range(rank + 1)]))

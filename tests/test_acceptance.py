@@ -88,7 +88,7 @@ def test_criterion_2_recursion_vs_product_oracle():
     worst = 0.0
     for _ in range(20):
         point = rng.uniform(-3.0, 3.0, 3)
-        values = hermite_phys(6, point).values
+        values = hermite_phys(6, point)
         for rank in range(7):
             want = product_oracle(rank, point)
             scale_ = max(1.0, max(abs(v) for v in want.data))
@@ -160,7 +160,7 @@ def test_criterion_6_translation():
     for _ in range(20):
         tmap = TranslationMap(tuple(rng.uniform(-1.0, 1.0, 3)), tuple(rng.uniform(-1.0, 1.0, 3)))
         point = rng.uniform(-2.0, 2.0, 3)
-        direct = hermite_phys(5, point - np.asarray(tmap.z00)).values
+        direct = hermite_phys(5, point - np.asarray(tmap.z00))
         for rank in range(6):
             got = translated_hermite(rank, tmap, "r->0", point)
             scale_ = max(1.0, max(abs(v) for v in direct[rank].data))

@@ -240,6 +240,18 @@ def test_verify_options_follow_the_suite_name(argv):
     assert invoke(argv) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ortho", "--m", "2"],
+    ["verify", "translate", "--max", "2"],
+    ["expand", "--mass", "28", "--temp", "300"],
+    ["basis", "--r", "1", "--point", "1,0,0"],
+], ids=" ".join)
+def test_options_are_taken_by_their_exact_name_only(argv, capsys):
+    # a prefix is refused whether or not a sibling option shares it
+    assert invoke(argv) == (2, "")
+    assert "error:" in capsys.readouterr().err
+
+
 def test_csv_output_shape():
     code, text = invoke(["verify", "ortho", "--format", "csv"])
     assert code == 0

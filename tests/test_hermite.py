@@ -7,16 +7,16 @@ import pytest
 from hermtensor.hermite import (
     PHYSICIST,
     PROBABILIST,
+    HermiteConvention,
     PolyScalar,
     _hermite_table,
-    convert,
     evaluate_basis,
     grad_check,
     hermite_phys,
     hermite_prob,
     hermite_symbolic,
 )
-from hermtensor.quadrature import gauss_hermite_rule, grid_points
+from hermtensor.quadrature import gauss_hermite_rule, grid_points, ortho_matrix
 from hermtensor.symtensor import (
     canonical_index_tuples,
     identity,
@@ -238,35 +238,45 @@ def test_probabilist_symbolic_he2_table():
     assert got[2][(0, 1)] == z[0] * z[1]
 
 
-# ---------------------------------------------------------------- conversion
+# ---------------------------------------------------------------- convention
 
 
-def test_convert_identity_between_conventions():
-    rng = np.random.default_rng(12)
-    z = rng.uniform(-1.5, 1.5, size=3)
-    phys = hermite_phys(4, z)
-    prob = convert(phys, PROBABILIST)
-    assert prob.convention is PROBABILIST
-    direct = hermite_prob(4, np.asarray(prob.point))
-    for n in range(5):
-        scale = max(1.0, float(np.max(np.abs(direct[n].data))))
-        assert max_component_diff(prob[n], direct[n]) < 1e-12 * scale
-
-
-def test_convert_roundtrip():
+@pytest.mark.parametrize("entry, convention", [(hermite_phys, PHYSICIST), (hermite_prob, PROBABILIST)])
+def test_point_basis_is_the_recursion_list(entry, convention):
     z = (0.3, -0.7, 1.1)
-    phys = hermite_phys(4, z)
-    back = convert(convert(phys, PROBABILIST), PHYSICIST)
-    assert back.convention is PHYSICIST
-    np.testing.assert_allclose(back.point, phys.point, rtol=1e-12)
-    for n in range(5):
-        scale = max(1.0, float(np.max(np.abs(phys[n].data))))
-        assert max_component_diff(back[n], phys[n]) < 1e-12 * scale
+    got = entry(4, z)
+    want = evaluate_basis(4, z, convention=convention)
+    assert type(got) is list and len(got) == 5
+    assert all(g.data.tobytes() == w.data.tobytes() for g, w in zip(got, want))
 
 
-def test_convert_same_convention_is_noop():
-    phys = hermite_phys(2, (0.1, 0.2, 0.3))
-    assert convert(phys, PHYSICIST) is phys
+@pytest.mark.parametrize("convention", list(HermiteConvention))
+def test_convention_name_reads_as_its_member(convention):
+    rng = np.random.default_rng(27)
+    for dim in (3, 6):
+        z = tuple(rng.uniform(-2, 2, size=dim))
+        by_name, by_member = evaluate_basis(6, z, dim, convention.value), evaluate_basis(6, z, dim, convention)
+        assert [t.data.tobytes() for t in by_name] == [t.data.tobytes() for t in by_member]
+    rule = gauss_hermite_rule(10)
+    for m, n in ((1, 1), (2, 3), (4, 4)):
+        assert ortho_matrix(m, n, rule, convention.value).tobytes() == ortho_matrix(m, n, rule, convention).tobytes()
+
+
+def test_symbolic_reads_physicist_name():
+    z0 = PolyScalar.variable(3, 0)
+    assert hermite_symbolic(2, convention="physicist")[2][0, 0] == 4 * z0 * z0 - 2
+    assert hermite_symbolic(2, convention="probabilist")[2][0, 0] == z0 * z0 - 1
+
+
+@pytest.mark.parametrize("convention", ["Physicist", None, 2])
+@pytest.mark.parametrize("entry", [
+    lambda c: evaluate_basis(2, (0.1, 0.2, 0.3), convention=c),
+    lambda c: hermite_symbolic(2, convention=c),
+    lambda c: ortho_matrix(1, 1, gauss_hermite_rule(4), c),
+], ids=["evaluate_basis", "hermite_symbolic", "ortho_matrix"])
+def test_unknown_convention_is_refused(entry, convention):
+    with pytest.raises(ValueError, match="is not a valid HermiteConvention"):
+        entry(convention)
 
 
 # ---------------------------------------------------------------- gradient

@@ -2,7 +2,7 @@
 
 The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
-``_read_series``, the expansion guard ``_require_expansion``; every integer entry also refuses a float, an
+``_read_series``, the kind guard ``_require_kind``; every integer entry also refuses a float, an
 np.float64 and a str, and takes an np.int64), points (the point reader ``_read_points``), and 6-D points (the
 ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
 """
@@ -210,8 +210,13 @@ def series(name, dim):
 
 
 def not_expansion(name):
-    """The expansion guard's refusal of the float given as ``name``."""
+    """The kind guard's refusal of the float given as ``name`` where an expansion belongs."""
     return f"{name} must be an ExpansionCoefficients, got float"
+
+
+def not_dim(value):
+    """The dimension guard's refusal of ``value``."""
+    return f"dimension must be one of (3, 6), got {value}"
 
 
 # entry -> (a call with one input refused and every other input admissible, the refusal): an integer, the
@@ -252,6 +257,28 @@ INTEGER = {
     "distribution_invariance float": (
         lambda: distribution_invariance(expansion(1), 3.0, PAIR, np.zeros(6)), not_expansion("coeff_sp")
     ),
+    "BlockRotation.from_pair float": (lambda: BlockRotation.from_pair(3.0), "pair must be a SpeciesPair, got float"),
+    "equivariance_residual pair": (
+        lambda: equivariance_residual(2, np.zeros(6), 3.0), "pair must be a SpeciesPair, got float"
+    ),
+    "distribution_invariance pair": (
+        lambda: distribution_invariance(expansion(1), expansion(1), 3.0, np.zeros(6)), "pair must be a SpeciesPair, got float"
+    ),
+    "species_point_from_velocities pair": (
+        lambda: species_point_from_velocities(3.0, np.zeros(3), np.zeros(3)), "pair must be a SpeciesPair, got float"
+    ),
+    "com_relative_from_velocities pair": (
+        lambda: com_relative_from_velocities(3.0, np.zeros(3), np.zeros(3)), "pair must be a SpeciesPair, got float"
+    ),
+    "rotate_rank_n rot": (lambda: rotate_rank_n(3.0, zeros(6, 2)), "rot must be a BlockRotation, got float"),
+    "rotate_rank_n rot rank 0": (lambda: rotate_rank_n(3.0, zeros(6, 0)), "rot must be a BlockRotation, got float"),
+    "rotate_coefficients rot": (lambda: rotate_coefficients([zeros(6, 0)], 3.0), "rot must be a BlockRotation, got float"),
+    "canonical_index_tuples dim 3.0": (lambda: canonical_index_tuples(2, 3.0), not_dim(3.0)),
+    "SymTensor dim 3.0": (lambda: SymTensor(3.0, 1, [0.0, 0.0, 0.0]), not_dim(3.0)),
+    "SymTensor dim np.float64": (lambda: SymTensor(np.float64(3.0), 1, [0.0, 0.0, 0.0]), not_dim(3.0)),
+    "evaluate_basis dim 3.0": (lambda: evaluate_basis(2, Z, dim=3.0), not_dim(3.0)),
+    "hermite_symbolic dim 3.0": (lambda: hermite_symbolic(2, dim=3.0), not_dim(3.0)),
+    "multiplicity_vector dim '3'": (lambda: multiplicity_vector(2, "3"), not_dim("3")),
     "translate_basis 1.5": (lambda: translate_basis(1.5, TMAP, TO_CENTERED), series("values", 3)),
     "translate_basis '2'": (lambda: translate_basis("2", TMAP, TO_CENTERED), series("values", 3)),
     "translate_basis 6-D": (lambda: translate_basis([zeros(6, 0), zeros(6, 1)], TMAP, TO_CENTERED), series("values", 3)),
@@ -319,6 +346,16 @@ def test_integer_guard_names_the_parameter(entry):
 @pytest.mark.parametrize("entry", sorted(INTEGER_PARAMETERS))
 def test_integer_parameters_take_numpy_integers(entry):
     INTEGER_PARAMETERS[entry][0](np.int64(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: canonical_index_tuples(2, d),
+    lambda d: SymTensor(d, 1, [0.0] * 3),
+    lambda d: evaluate_basis(2, Z, dim=d),
+    lambda d: hermite_symbolic(1, dim=d),
+], ids=["canonical_index_tuples", "SymTensor", "evaluate_basis", "hermite_symbolic"])
+def test_dimension_takes_numpy_integers(call):
+    call(np.int64(3))
 
 
 # inputs that are no array of points at all: a ragged list and the text of a point

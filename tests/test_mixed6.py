@@ -224,8 +224,8 @@ def test_block_diagonal_reduction():
     rng = np.random.default_rng(43)
     x = rng.uniform(-1.5, 1.5, 6)
     h2 = mixed_hermite(2, x)[2]
-    upper = hermite_phys(2, x[:3]).values[2]
-    lower = hermite_phys(2, x[3:]).values[2]
+    upper = hermite_phys(2, x[:3])[2]
+    lower = hermite_phys(2, x[3:])[2]
     for i in range(3):
         for j in range(i, 3):
             assert h2[(i, j)] == pytest.approx(upper[(i, j)], rel=1e-13, abs=1e-13)

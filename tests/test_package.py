@@ -27,17 +27,18 @@ EARLIER_EXPORTS = [
 
 # names no library route calls and no test compares against, deleted; product_rows and product_oracle, the
 # product-form oracle, live in tests/hermite_oracles.py; MAX_MIXED_RANK was never in the root list;
-# translate_basis takes the partner tensors and returns the translated one, so its term record and assembler went
+# translate_basis takes the partner tensors and returns the translated one, so its term record and assembler went;
+# hermite_phys and hermite_prob return the tensor list, so its record and the converter that alone read it went
 REMOVED = [
     "MultiIndex", "canonicalize", "sym_raw", "hermite_1d", "product_oracle", "product_rows", "MAX_MIXED_RANK",
-    "TranslationTerm", "assemble_translation",
+    "TranslationTerm", "assemble_translation", "BasisEvaluation", "convert",
 ]
 
 # the root's __all__, module by module in the order of MODULES
 EXPORTS = [
     "SUPPORTED_DIMS", "SymTensor", "canonical_index_tuples", "identity", "inner", "max_component_diff",
     "multiplicity", "multiplicity_vector", "n_components", "outer_power", "perm_delta", "scalar", "sym_product",
-    "BasisEvaluation", "HermiteConvention", "PHYSICIST", "PROBABILIST", "PolyScalar", "convert", "evaluate_basis",
+    "HermiteConvention", "PHYSICIST", "PROBABILIST", "PolyScalar", "evaluate_basis",
     "grad_check", "hermite_phys", "hermite_prob", "hermite_symbolic",
     "AdmissibilityResult", "ExpansionCoefficients", "NonFiniteIntegrandError", "QuadratureRule", "WeightSpec",
     "expand", "gauss_hermite_rule", "grid_points", "grid_weights", "integrate3", "l2_admissible", "ortho_matrix",

@@ -226,7 +226,7 @@ def test_translate_basis_term_structure():
     # with H_p alone nonzero, the result is the binomial term C(3, p) sym(H_p, [2 (za - z00)]^(3-p)), bit for bit
     z00, za = (0.1, -0.3, 0.2), (0.6, 0.4, -0.5)
     tmap = TranslationMap(z00, za)
-    values = hermite_phys(3, np.array([0.7, -0.2, 1.1])).values
+    values = hermite_phys(3, np.array([0.7, -0.2, 1.1]))
     shift_vector = 2.0 * (np.asarray(za) - np.asarray(z00))
     for p in range(4):
         alone = [v if n == p else SymTensor(3, n, np.zeros(n_components(n, 3))) for n, v in enumerate(values)]
@@ -236,7 +236,7 @@ def test_translate_basis_term_structure():
 
 def test_translate_basis_validation():
     tmap = TranslationMap((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    values = hermite_phys(7, np.zeros(3)).values
+    values = hermite_phys(7, np.zeros(3))
     with pytest.raises(ValueError, match="translate_basis rank must be an integer within 0..6, got 7"):
         translate_basis(values, tmap, TO_CENTERED)
     with pytest.raises(ValueError, match="direction must be one of"):
@@ -252,7 +252,7 @@ def test_translated_equals_direct_evaluation():
         for rank in range(7):
             for direction, center in ((TO_CENTERED, tmap.z00), (TO_AVERAGE, tmap.za)):
                 got = translated_hermite(rank, tmap, direction, z)
-                want = hermite_phys(rank, z - np.asarray(center)).values[rank]
+                want = hermite_phys(rank, z - np.asarray(center))[rank]
                 scale = max(1.0, max(abs(v) for v in want.data))
                 worst = max(worst, max_component_diff(got, want) / scale)
     assert worst < 1e-10
@@ -263,7 +263,7 @@ def test_translation_composes_across_frames():
     rng = np.random.default_rng(23)
     z00, za, zb = (tuple(rng.uniform(-1, 1, 3)) for _ in range(3))
     z = rng.uniform(-1.5, 1.5, 3)
-    values_b = hermite_phys(5, z - np.asarray(zb)).values
+    values_b = hermite_phys(5, z - np.asarray(zb))
     step = TranslationMap(za, zb)
     values_a = [translate_basis(values_b[: p + 1], step, TO_CENTERED) for p in range(6)]
     for rank in range(6):
@@ -365,7 +365,7 @@ def test_series_reconstruction_via_translated_basis():
     rng = np.random.default_rng(5)
     for _ in range(6):
         z = rng.uniform(-1.5, 1.5, 3)
-        direct = hermite_phys(4, z).values
+        direct = hermite_phys(4, z)
         via = [translated_hermite(n, detour, TO_CENTERED, z) for n in range(5)]
         total_direct = sum(inner(coeffs[n], direct[n]) for n in range(5))
         total_via = sum(inner(coeffs[n], via[n]) for n in range(5))

@@ -152,6 +152,11 @@ def _check(name: str, value: float, tolerance: float, mode: str = "max") -> dict
     return {"check": name, "value": float(value), "tolerance": tolerance, "mode": mode, "pass": bool(ok)}
 
 
+def _components(tensor: SymTensor, entry) -> list[dict]:
+    """One row per component in storage order: its index, then the fields ``entry`` gives for its value."""
+    return [{"index": list(i), **entry(v)} for i, v in zip(canonical_index_tuples(tensor.rank, tensor.dim), tensor.data)]
+
+
 def _term(exponents, coefficient: Fraction) -> dict:
     """One term of a symbolic table: an integer coefficient as a number, a fraction as its text."""
     value = int(coefficient) if coefficient.denominator == 1 else str(coefficient)
@@ -171,20 +176,14 @@ def cmd_basis(args) -> tuple[dict, int]:
     if args.symbolic:
         _require_rank("basis_symbolic", args.rank)
         tensor = hermite_symbolic(args.rank, dim=3, convention=args.convention)[args.rank]
-        components = [
-            {"index": list(idx), "terms": [_term(*term) for term in value.terms()]}
-            for idx, value in zip(canonical_index_tuples(args.rank, 3), tensor.data)
-        ]
+        components = _components(tensor, lambda value: {"terms": [_term(*term) for term in value.terms()]})
     else:
         _require_rank("basis", args.rank)
         point = _parse_vector("--point", args.point) if args.point is not None else (0.0, 0.0, 0.0)
         config["point"] = list(point)
         tensor = evaluate_basis(args.rank, point, dim=3, convention=args.convention)[args.rank]
         _require_finite_result(f"a rank-{args.rank} basis value at {point}", tensor.data)
-        components = [
-            {"index": list(idx), "value": float(value)}
-            for idx, value in zip(canonical_index_tuples(args.rank, 3), tensor.data)
-        ]
+        components = _components(tensor, lambda value: {"value": float(value)})
     return {"command": "basis", "config": config, "components": components}, 0
 
 
@@ -209,10 +208,7 @@ def cmd_expand(args) -> tuple[dict, int]:
     # f0 absorbs the Gaussian normalization so a pure Maxwellian reads a0 = 1
     f0 = args.density * math.pi ** (-1.5)
     coeffs = expand(spec.weight_z, args.max_rank, rule, f0=f0, vectorized=True)
-    ranks = [
-        {"rank": n, "components": [{"index": list(i), "value": float(v)} for i, v in zip(canonical_index_tuples(n, 3), t.data)]}
-        for n, t in enumerate(coeffs.coeffs)
-    ]
+    ranks = [{"rank": n, "components": _components(t, lambda v: {"value": float(v)})} for n, t in enumerate(coeffs.coeffs)]
     report = {
         "command": "expand",
         "config": {

@@ -44,6 +44,10 @@ class HermiteConvention(enum.Enum):
     PHYSICIST = "physicist"
     PROBABILIST = "probabilist"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"convention must be 'physicist', 'probabilist' or a HermiteConvention, got {value!r}")
+
 
 PHYSICIST = HermiteConvention.PHYSICIST
 PROBABILIST = HermiteConvention.PROBABILIST

@@ -20,8 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .hermite import PHYSICIST, evaluate_basis
-from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_kind, _require_rank, _series
-from .symtensor import SymTensor, _frozen, _read_points, _read_series, _require_positive, max_component_diff, sym_product
+from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
+from .symtensor import (
+    SymTensor, _frozen, _read_points, _read_series, _require_kind, _require_positive, max_component_diff, sym_product,
+)
 
 __all__ = [
     "BOLTZMANN",
@@ -134,6 +136,7 @@ class MixedPoint:
 
 
 def _frame_coords(p: MixedPoint, frame: str | None) -> tuple[float, ...]:
+    _require_kind(MixedPoint, p=p)
     if frame not in (None, p.frame):
         raise ValueError(f"point is in frame {p.frame!r}, expected {frame!r}")
     return p.coords
@@ -141,14 +144,12 @@ def _frame_coords(p: MixedPoint, frame: str | None) -> tuple[float, ...]:
 
 def to_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
     """Rotate a stacked species-frame point into (c, g) coordinates."""
-    rot = BlockRotation.from_pair(pair)
-    return MixedPoint(tuple(rot.apply(_frame_coords(p, SPECIES_FRAME))), COM_RELATIVE_FRAME)
+    return MixedPoint(tuple(BlockRotation.from_pair(pair).apply(_frame_coords(p, SPECIES_FRAME))), COM_RELATIVE_FRAME)
 
 
 def from_com_relative(p: MixedPoint, pair: SpeciesPair) -> MixedPoint:
     """Rotate (c, g) back to the stacked species frame; R is its own inverse."""
-    rot = BlockRotation.from_pair(pair)
-    return MixedPoint(tuple(rot.apply(_frame_coords(p, COM_RELATIVE_FRAME))), SPECIES_FRAME)
+    return MixedPoint(tuple(BlockRotation.from_pair(pair).apply(_frame_coords(p, COM_RELATIVE_FRAME))), SPECIES_FRAME)
 
 
 def species_point_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
@@ -202,6 +203,7 @@ def mixed_hermite(N: int, x) -> list[SymTensor]:
 def rotate_rank_n(rot: BlockRotation, t: SymTensor) -> SymTensor:
     """Apply the block rotation to every slot of a symmetric 6-D tensor."""
     _require_kind(BlockRotation, rot=rot)
+    _require_kind(SymTensor, t=t)
     if t.dim != 6:
         raise ValueError("tensor must have dimension 6")
     _require_rank("mixed", t.rank)

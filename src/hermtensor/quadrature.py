@@ -28,7 +28,8 @@ import numpy as np
 
 from .hermite import PHYSICIST, HermiteConvention, _hermite_table
 from .symtensor import (
-    SymTensor, _axis_counts, _frozen, _read_points, _read_series, _require_integer, _require_positive, multiplicity_vector,
+    SymTensor, _axis_counts, _frozen, _read_points, _read_series, _require_integer, _require_kind, _require_positive,
+    multiplicity_vector,
 )
 
 __all__ = [
@@ -129,12 +130,14 @@ def _finite_vector3(name: str, value) -> tuple[float, float, float]:
 
 def _require_order(rule: QuadratureRule, rank: int) -> None:
     """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
+    _require_kind(QuadratureRule, rule=rule)
     _require_integer("rank", rank)
     if rule.order < 2 * rank + 2:
         raise ValueError(f"rule order {rule.order} insufficient for rank {rank}; need >= {2 * rank + 2}")
 
 
 def _doubled_rule(rule: QuadratureRule) -> QuadratureRule:
+    _require_kind(QuadratureRule, rule=rule)
     if 2 * rule.order > MAX_ORDER:
         raise ValueError(f"the order-doubling probe needs rule order <= {MAX_ORDER // 2}, got {rule.order}")
     return gauss_hermite_rule(2 * rule.order)
@@ -142,6 +145,7 @@ def _doubled_rule(rule: QuadratureRule) -> QuadratureRule:
 
 def _cached(rule: QuadratureRule, key, build):
     """The rule's table ``key``, built on first use and read-only; the only access to ``rule._grid``."""
+    _require_kind(QuadratureRule, rule=rule)
     value = rule._grid.get(key)
     if value is None:
         value = rule._grid[key] = _frozen(build())
@@ -150,14 +154,12 @@ def _cached(rule: QuadratureRule, key, build):
 
 def grid_points(rule: QuadratureRule) -> np.ndarray:
     """All 3-D node triples, shape (order**3, 3), in sorted node order; read-only, stored axis-major."""
-    x = rule.nodes
-    return _cached(rule, "points", lambda: np.stack(np.meshgrid(x, x, x, indexing="ij")).reshape(3, -1).T.copy(order="F"))
+    return _cached(rule, "points", lambda: np.stack(np.meshgrid(*[rule.nodes] * 3, indexing="ij")).reshape(3, -1).T.copy("F"))
 
 
 def grid_weights(rule: QuadratureRule) -> np.ndarray:
     """Product weights of the node triples, in grid_points order; read-only."""
-    w = rule.weights
-    return _cached(rule, "weights", lambda: (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel())
+    return _cached(rule, "weights", lambda: ((w := rule.weights)[:, None, None] * w[:, None] * w).ravel())
 
 
 def _axis_table(rule: QuadratureRule, max_rank: int) -> np.ndarray:
@@ -181,23 +183,19 @@ def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
     return tuple(_cached(rule, ("row", n), lambda: build(n)) for n in range(max_rank + 1))
 
 
-def _sample(f, rule: QuadratureRule, vectorized: bool) -> np.ndarray:
-    """Evaluate f once on the rule's node grid: its values, in grid_points order."""
+def _sample(f, rule: QuadratureRule, vectorized: bool) -> tuple[np.ndarray, float]:
+    """Evaluate f once on the rule's node grid: its values, in grid_points order, and max |values|.
+
+    A sample that is not finite raises NonFiniteIntegrandError at its first such node.
+    """
     points = grid_points(rule)
-    if vectorized:
-        values = np.asarray(f(points), dtype=np.float64)
-        if values.shape != (len(points),):
-            raise ValueError("vectorized integrand must return one value per point")
-        return values
-    return np.fromiter((f(p) for p in points), dtype=np.float64, count=len(points))
-
-
-def _require_finite(values: np.ndarray, points: np.ndarray) -> float:
-    """max |values|; NonFiniteIntegrandError at the first point whose value is nan or inf."""
+    values = np.asarray(f(points), dtype=np.float64) if vectorized else np.fromiter(map(f, points), np.float64, len(points))
+    if values.shape != (len(points),):
+        raise ValueError("vectorized integrand must return one value per point")
     peak = float(np.max(np.abs(values)))
     if not peak < math.inf:  # a finite sample pays this one reduction, no search
         raise NonFiniteIntegrandError(points[int(np.argmax(~np.isfinite(values)))])
-    return peak
+    return values, peak
 
 
 def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
@@ -207,8 +205,7 @@ def integrate3(f, rule: QuadratureRule, *, vectorized: bool = False) -> float:
     triple per call, or with ``vectorized=True`` an (K, 3) array mapped to
     K values.  The sum is the moment contraction against the 1-D weights.
     """
-    values = _sample(f, rule, vectorized)
-    _require_finite(values, grid_points(rule))
+    values, _ = _sample(f, rule, vectorized)
     return _moments(values, rule.weights[None, :]).item()
 
 
@@ -261,15 +258,16 @@ def l2_admissible(f, rule: QuadratureRule, *, vectorized: bool = False) -> Admis
 def _probe(f, rule: QuadratureRule, vectorized: bool) -> tuple[AdmissibilityResult, float, np.ndarray]:
     """Sample f once on the rule's grid and once on the doubled one, and probe: (result, divisor, coarse values).
 
-    A sample that is not finite raises NonFiniteIntegrandError at its first such node, before any verdict.
+    A sample that is not finite raises NonFiniteIntegrandError at its first such node, before any verdict and
+    before the next grid is sampled.
     The divisor is the power of two at or below max |f| over both samples (1.0 if max |f| is not a normal
     float), exact, so a constant factor of f (the density) cannot overflow the squares.  Each sum is
     sum_ijk W_i W_j W_k s_ijk**2, s the scaled f and W = w exp(2 x**2) the rule's 1-D table: the moment
     contraction of s**2 against the one-row table W.  W <= 9.6e47 up to order 64 and |s| < 2, so a scaled
     sum stays below 1e150.
     """
-    samples = [(r, _sample(f, r, vectorized)) for r in (rule, _doubled_rule(rule))]
-    peak = max(_require_finite(values, grid_points(r)) for r, values in samples)
+    samples = [(r, *_sample(f, r, vectorized)) for r in (rule, _doubled_rule(rule))]
+    peak = max(p for _, _, p in samples)
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if np.finfo(np.float64).tiny <= peak else 1.0
 
     def total(r, values):
@@ -277,7 +275,7 @@ def _probe(f, rule: QuadratureRule, vectorized: bool) -> tuple[AdmissibilityResu
         return _moments(np.square(s := values * (1.0 / unit), out=s), w[None, :]).item()
 
     with np.errstate(over="ignore"):  # a non-finite sum fails the probe
-        coarse, fine = (total(*sample) for sample in samples)
+        coarse, fine = (total(r, values) for r, values, _ in samples)
     stable = math.isfinite(coarse) and math.isfinite(fine) and abs(fine - coarse) <= 0.05 * max(abs(coarse), abs(fine))
     return AdmissibilityResult(stable, fine * unit * unit), unit, samples[0][1]
 
@@ -298,14 +296,6 @@ class ExpansionCoefficients:
 
     def __getitem__(self, rank: int) -> SymTensor:
         return self.coeffs[rank]
-
-
-def _require_kind(kind: type, **named) -> None:
-    """Refuse each keyword value that is not a ``kind``, naming it and the type it got."""
-    for name, value in named.items():
-        if not isinstance(value, kind):
-            article = "an" if kind.__name__[0] in "AEIOU" else "a"
-            raise ValueError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def expand(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *, vectorized: bool = False) -> ExpansionCoefficients:
@@ -403,7 +393,9 @@ def _series(tensors, f0: float, pts: np.ndarray, single: bool):
     """
     dim = pts.shape[1]
     shape, scatter, multiplicities, folds = _series_plan(len(tensors) - 1, dim)
-    coords = np.ascontiguousarray(pts.T)  # axis-major: z.z is d contiguous vector adds, left to right as per point
+    # axis-major: z.z is d contiguous vector adds, left to right as per point; one point is contracted as a
+    # two-column batch, so the matmul sums it as it does in any batch (a one-column product would be a gemv)
+    coords = np.ascontiguousarray(np.repeat(pts.T, 2, axis=1) if len(pts) == 1 else pts.T)
     table = _hermite_table(shape[1] - 1, coords)
     matrix = np.zeros(shape)
     matrix.flat[scatter] = multiplicities * np.concatenate([t.data for t in tensors])
@@ -415,7 +407,7 @@ def _series(tensors, f0: float, pts: np.ndarray, single: bool):
             out[:size] += partial[lo : lo + size]
         partial = out if gather is None else out[gather]
     out = f0 * np.exp(-np.sum(coords**2, axis=0)) * partial[0]
-    return float(out[0]) if single else out
+    return float(out[0]) if single else out[: len(pts)]
 
 
 def reconstruct(coeffs: ExpansionCoefficients, z):

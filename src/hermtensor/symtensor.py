@@ -12,8 +12,9 @@ is one unbuffered scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
 ranks, degrees and orders, positive scalars, points (one d-vector or a
-(K, d) batch) and series (tensors of ranks 0, 1, 2, ...), each refused with
-a ValueError that names the parameter.
+(K, d) batch), series (tensors of ranks 0, 1, 2, ...), the kind of a
+library object and a pair of tensors of one rank and dimension, each
+refused with a ValueError that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -108,6 +109,21 @@ def _require_positive(**named: float) -> None:
     for name, value in named.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_kind(kind: type, **named) -> None:
+    """Refuse each keyword value that is not a ``kind``, naming it and the type it got."""
+    for name, value in named.items():
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise ValueError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
+def _require_pair(a, b) -> None:
+    """Refuse ``a`` or ``b`` that is not a SymTensor, naming it, then a pair of different rank or dimension."""
+    _require_kind(SymTensor, a=a, b=b)
+    if (a.dim, a.rank) != (b.dim, b.rank):
+        raise ValueError("rank/dim mismatch")
 
 
 def n_components(rank: int, dim: int) -> int:
@@ -253,8 +269,7 @@ class SymTensor:
     def _binary(self, other, op):
         if not isinstance(other, SymTensor):
             return NotImplemented
-        if (other.dim, other.rank) != (self.dim, self.rank):
-            raise ValueError("rank/dim mismatch")
+        _require_pair(self, other)
         return SymTensor(self.dim, self.rank, op(self.data, other.data))
 
     def __add__(self, other):
@@ -292,8 +307,8 @@ def identity(dim: int) -> SymTensor:
 
 def outer_power(vector, power: int) -> SymTensor:
     """Symmetric outer power v^(k): component at (i1..ik) is v_i1 * ... * v_ik."""
-    vec = np.asarray(vector)
-    columns = _index_columns(power, len(vec))  # canonical_index_tuples refuses the dimension and the power
+    vec = _read_points("vector", vector, batch=False)[0][0]  # refuses the dimension
+    columns = _index_columns(power, len(vec))  # canonical_index_tuples refuses the power
     out = np.ones(columns.shape[1])
     for column in columns:  # left to right from 1.0
         out = out * vec[column]
@@ -352,6 +367,7 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     A[L] * B[I - L] into each output from zero, term by term in canonical
     order of L, then divides by C(p+q, p); float and exact alike.
     """
+    _require_kind(SymTensor, a=a, b=b)
     if a.dim != b.dim:
         raise ValueError("dim mismatch")
     p, q = a.rank, b.rank
@@ -379,8 +395,7 @@ def inner(a: SymTensor, b: SymTensor) -> float:
 
     Equals sum over canonical tuples of multiplicity * A * B.
     """
-    if (a.dim, a.rank) != (b.dim, b.rank):
-        raise ValueError("rank/dim mismatch")
+    _require_pair(a, b)
     mult = multiplicity_vector(a.rank, a.dim)
     acc = 0
     for m, x, y in zip(mult, a.data, b.data):
@@ -390,6 +405,5 @@ def inner(a: SymTensor, b: SymTensor) -> float:
 
 def max_component_diff(a: SymTensor, b: SymTensor) -> float:
     """Largest absolute component difference (numeric tensors only)."""
-    if (a.dim, a.rank) != (b.dim, b.rank):
-        raise ValueError("rank/dim mismatch")
+    _require_pair(a, b)
     return float(np.max(np.abs(np.asarray(a.data, dtype=np.float64) - np.asarray(b.data, dtype=np.float64))))

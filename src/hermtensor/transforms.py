@@ -16,7 +16,9 @@ import numpy as np
 
 from .hermite import hermite_phys
 from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_rank
-from .symtensor import SymTensor, _read_points, _read_series, _require_positive, max_component_diff, outer_power, sym_product
+from .symtensor import (
+    SymTensor, _read_points, _read_series, _require_kind, _require_positive, max_component_diff, outer_power, sym_product,
+)
 
 __all__ = [
     "ProbeResult",
@@ -119,6 +121,7 @@ def convergence_probe(smap: ScalingMap, rule: QuadratureRule) -> ProbeResult:
     boundary a two-point probe is indecisive by construction.  Needs rule
     order <= 32.
     """
+    _require_kind(ScalingMap, smap=smap)
     fine_rule = _doubled_rule(rule)
 
     def value(r):
@@ -143,6 +146,7 @@ def translate_basis(values, tmap: TranslationMap, direction: str) -> SymTensor:
     _require_rank("translate_basis", rank)
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
+    _require_kind(TranslationMap, tmap=tmap)
     shift_vector = 2.0 * (tmap.shift if direction == TO_CENTERED else -tmap.shift)
     pieces = [math.comb(rank, p) * sym_product(values[p], outer_power(shift_vector, rank - p)) for p in range(rank + 1)]
     return sum(pieces[1:], pieces[0])
@@ -151,6 +155,7 @@ def translate_basis(values, tmap: TranslationMap, direction: str) -> SymTensor:
 def translated_hermite(rank: int, tmap: TranslationMap, direction: str, z) -> SymTensor:
     """Evaluate one frame's H_rank at a 3-vector z going through the other frame's basis."""
     _require_rank("translate_basis", rank)
+    _require_kind(TranslationMap, tmap=tmap)
     center = tmap.za if direction == TO_CENTERED else tmap.z00
     partner = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(center))
     return translate_basis(partner, tmap, direction)
@@ -164,6 +169,7 @@ def translation_roundtrip(rank: int, tmap: TranslationMap, z) -> float:
 
 def _roundtrip(rank: int, tmap: TranslationMap, z) -> tuple[list[SymTensor], float]:
     """H_0..H_rank at z - z00 assembled from the frame at za ("r->0"), and the residual of translating them back."""
+    _require_kind(TranslationMap, tmap=tmap)
     original = hermite_phys(rank, _read_points("z", z, 3, batch=False)[0][0] - np.asarray(tmap.za))
     forward = [translate_basis(original[: k + 1], tmap, TO_CENTERED) for k in range(rank + 1)]
     back = [translate_basis(forward[: k + 1], tmap, TO_AVERAGE) for k in range(rank + 1)]
@@ -177,4 +183,5 @@ def orthogonality_after_translation(n_rank: int, m_rank: int, tmap: TranslationM
     with s = za - z00.  At s = 0 this is the orthogonality table; any other
     shift breaks both the cross-rank zeros and the diagonal normalization.
     """
+    _require_kind(TranslationMap, tmap=tmap)
     return _gram(n_rank, m_rank, rule, shift=tmap.shift)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -275,7 +276,8 @@ def test_symbolic_reads_physicist_name():
     lambda c: ortho_matrix(1, 1, gauss_hermite_rule(4), c),
 ], ids=["evaluate_basis", "hermite_symbolic", "ortho_matrix"])
 def test_unknown_convention_is_refused(entry, convention):
-    with pytest.raises(ValueError, match="is not a valid HermiteConvention"):
+    message = f"convention must be 'physicist', 'probabilist' or a HermiteConvention, got {convention!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         entry(convention)
 
 

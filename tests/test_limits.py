@@ -2,8 +2,9 @@
 
 The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
-``_read_series``, the kind guard ``_require_kind``; every integer entry also refuses a float, an
-np.float64 and a str, and takes an np.int64), points (the point reader ``_read_points``), and 6-D points (the
+``_read_series``, the kind guard ``_require_kind``, the tensor-pair guard ``_require_pair``; every integer
+entry also refuses a float, an np.float64 and a str, and takes an np.int64; every rule and translation-map
+parameter refuses a number), points (the point reader ``_read_points``), and 6-D points (the
 ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
 """
 import functools
@@ -33,6 +34,7 @@ from hermtensor.mixed6 import (
     com_relative_from_velocities,
     distribution_invariance,
     equivariance_residual,
+    from_com_relative,
     mixed_hermite,
     mixed_reconstruct,
     product_distribution,
@@ -40,6 +42,7 @@ from hermtensor.mixed6 import (
     rotate_rank_n,
     species_point_from_velocities,
     stack_coefficients,
+    to_com_relative,
 )
 from hermtensor.quadrature import (
     _RANK_CAPS,
@@ -49,6 +52,10 @@ from hermtensor.quadrature import (
     WeightSpec,
     expand,
     gauss_hermite_rule,
+    grid_points,
+    grid_weights,
+    integrate3,
+    l2_admissible,
     ortho_matrix,
     reconstruct,
     truncation_error,
@@ -56,6 +63,7 @@ from hermtensor.quadrature import (
 from hermtensor.symtensor import (
     SymTensor,
     canonical_index_tuples,
+    inner,
     max_component_diff,
     multiplicity_vector,
     n_components,
@@ -68,6 +76,7 @@ from hermtensor.transforms import (
     ScalingMap,
     TranslationMap,
     alpha_from_temperatures,
+    convergence_probe,
     orthogonality_after_translation,
     scaling_admissible,
     temperature_window,
@@ -290,6 +299,14 @@ INTEGER = {
     "SymTensor index label": (lambda: zeros(3, 2)[(0, 5)], "axis labels out of range for dim 3: (0, 5)"),
     "SymTensor negative label": (lambda: zeros(3, 2)[(2, -1)], "axis labels out of range for dim 3: (-1, 2)"),
     "SymTensor MultiIndex": (lambda: zeros(3, 2)[(1,)], "index of rank 1 for rank-2 tensor"),
+    "convergence_probe smap": (lambda: convergence_probe(3.0, RULE), "smap must be a ScalingMap, got float"),
+    "to_com_relative p": (lambda: to_com_relative((0.0,) * 6, PAIR), "p must be a MixedPoint, got tuple"),
+    "from_com_relative p": (lambda: from_com_relative(3.0, PAIR), "p must be a MixedPoint, got float"),
+    "rotate_rank_n t": (lambda: rotate_rank_n(BlockRotation.from_pair(PAIR), 3.0), "t must be a SymTensor, got float"),
+    "sym_product float": (lambda: sym_product(zeros(3, 1), 3.0), "b must be a SymTensor, got float"),
+    "inner float": (lambda: inner(zeros(3, 1), 3.0), "b must be a SymTensor, got float"),
+    "max_component_diff float": (lambda: max_component_diff(zeros(3, 1), 3.0), "b must be a SymTensor, got float"),
+    "outer_power text": (lambda: outer_power("ab", 2), "vector must be a 3-vector or 6-vector, got ragged or non-numeric input"),
     "SymTensor + rank": (lambda: zeros(3, 1) + zeros(3, 2), "rank/dim mismatch"),
     "SymTensor - dim": (lambda: zeros(3, 1) - zeros(6, 1), "rank/dim mismatch"),
     "sym_product dim": (lambda: sym_product(zeros(3, 1), zeros(6, 1)), "dim mismatch"),
@@ -333,6 +350,38 @@ INTEGER.update(
     (f"{entry} {value!r}", (functools.partial(call, value), f"{name} must be an integer {bound}, got {value!r}"))
     for entry, (call, name, bound) in INTEGER_PARAMETERS.items()
     for value in (1.5, 2.0, np.float64(2.0), "2")
+)
+
+
+# entry -> a call with its rule set to the given value and every other input admissible
+RULE_PARAMETERS = {
+    "expand": lambda r: expand(maxwellian, 2, r, vectorized=True),
+    "truncation_error": lambda r: truncation_error(maxwellian, 2, r, vectorized=True),
+    "l2_admissible": lambda r: l2_admissible(maxwellian, r, vectorized=True),
+    "integrate3": lambda r: integrate3(maxwellian, r, vectorized=True),
+    "ortho_matrix": lambda r: ortho_matrix(1, 1, r),
+    "grid_points": grid_points,
+    "grid_weights": grid_weights,
+    "convergence_probe": lambda r: convergence_probe(ScalingMap(1.2), r),
+    "orthogonality_after_translation": lambda r: orthogonality_after_translation(1, 1, TMAP, r),
+}
+
+# entry -> a call with its translation map set to the given value and every other input admissible
+TMAP_PARAMETERS = {
+    "translate_basis": lambda t: translate_basis(hermite_phys(2, Z), t, TO_CENTERED),
+    "translated_hermite": lambda t: translated_hermite(2, t, TO_CENTERED, Z),
+    "translation_roundtrip": lambda t: translation_roundtrip(2, t, Z),
+    "orthogonality_after_translation": lambda t: orthogonality_after_translation(1, 1, t, RULE),
+}
+
+# a rule or a translation map given as a number is refused by kind where it is first read
+INTEGER.update(
+    (f"{entry} rule", (functools.partial(call, 8), "rule must be a QuadratureRule, got int"))
+    for entry, call in RULE_PARAMETERS.items()
+)
+INTEGER.update(
+    (f"{entry} tmap", (functools.partial(call, 3.0), "tmap must be a TranslationMap, got float"))
+    for entry, call in TMAP_PARAMETERS.items()
 )
 
 

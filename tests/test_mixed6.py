@@ -343,11 +343,20 @@ def test_batched_frames_match_pointwise():
     products = [product_distribution(coeff_s, coeff_sp, p) for p in points]
     stacked = [mixed_reconstruct(alphas, p, f0) for p in points]
     assert all(type(v) is float for v in products + stacked)
-    # the batch sums its contractions in another order, so allow a few ulps
-    np.testing.assert_allclose(product_distribution(coeff_s, coeff_sp, coords), products, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(product_distribution(coeff_s, coeff_sp, points), products, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(mixed_reconstruct(alphas, coords, f0), stacked, rtol=1e-15, atol=0.0)
+    assert product_distribution(coeff_s, coeff_sp, coords).tolist() == products
+    assert product_distribution(coeff_s, coeff_sp, points).tolist() == products
+    assert mixed_reconstruct(alphas, coords, f0).tolist() == stacked
     assert [mixed_reconstruct(alphas, c, f0) for c in coords] == stacked
+
+
+def test_one_point_series_value_equals_its_batch_value():
+    # one point is summed as in any batch: its value does not depend on the points evaluated with it
+    rng = np.random.default_rng(29)
+    alphas = [SymTensor(6, n, rng.normal(size=n_components(n, 6))) for n in range(5)]
+    species = [coefficients([SymTensor(3, n, rng.normal(size=n_components(n, 3))) for n in range(3)]) for _ in range(2)]
+    points = rng.uniform(-2.0, 2.0, (256, 6))
+    assert [mixed_reconstruct(alphas, p) for p in points] == mixed_reconstruct(alphas, points).tolist()
+    assert [product_distribution(*species, p) for p in points] == product_distribution(*species, points).tolist()
 
 
 def test_batched_frames_refuse_bad_input():

@@ -380,7 +380,16 @@ def test_reconstruct_single_point_matches_batch():
     pts = np.array([[0.2, 0.1, -0.5], [1.0, 0.0, 0.0]])
     batch = reconstruct(coeffs, pts)
     for k in range(2):
-        assert reconstruct(coeffs, pts[k]) == pytest.approx(float(batch[k]), rel=1e-14)
+        assert reconstruct(coeffs, pts[k]) == float(batch[k])
+
+
+def test_one_point_series_value_equals_its_batch_value():
+    # one point is summed as in any batch: its value does not depend on the points evaluated with it
+    rng = np.random.default_rng(29)
+    coeffs = ExpansionCoefficients(6, tuple(SymTensor(3, n, rng.normal(size=n_components(n, 3))) for n in range(7)))
+    points = rng.uniform(-2.0, 2.0, (256, 3))
+    batch = reconstruct(coeffs, points)
+    assert [reconstruct(coeffs, p) for p in points] == batch.tolist()
 
 
 # inputs that are no array of points at all: a ragged list and the text of a point
@@ -496,8 +505,10 @@ def test_a_non_finite_sample_is_refused_before_any_probe_verdict(grid, value):
     # with no stability warning ahead of it and no coefficients or probe value after it
     rule = gauss_hermite_rule(8)
     node = grid_points(rule if grid == "coarse" else gauss_hermite_rule(16))[5]
+    seen = []
 
     def f(p):
+        seen.append(len(p))
         values = maxwellian((0.0, 0.0, 0.0))(p)
         values[np.all(p == node, axis=1)] = value
         return values
@@ -508,11 +519,14 @@ def test_a_non_finite_sample_is_refused_before_any_probe_verdict(grid, value):
         lambda: truncation_error(f, 2, rule, vectorized=True),
     ]
     for call in calls:
+        seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteIntegrandError) as err:
                 call()
         assert err.value.node == tuple(node)
+        # a coarse sample that is not finite is refused before the doubled grid (16**3 nodes) is sampled
+        assert sum(seen) == (8**3 if grid == "coarse" else 8**3 + 16**3)
 
 
 def grid_admissibility(f, rule, vectorized):

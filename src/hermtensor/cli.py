@@ -30,14 +30,13 @@ from .quadrature import (
     ATOMIC_MASS,
     ExpansionCoefficients,
     WeightSpec,
-    _finite_vector3,
     _require_order,
     _require_rank,
     expand,
     gauss_hermite_rule,
     ortho_matrix,
 )
-from .symtensor import SymTensor, canonical_index_tuples, n_components, perm_delta, scalar
+from .symtensor import SymTensor, _finite_vector3, canonical_index_tuples, n_components, perm_delta, scalar
 from .transforms import (
     DIVERGENCE_RATIO,
     ScalingMap,

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .symtensor import (
-    SymTensor, _check_dim, _read_points, _require_integer, _require_positive, max_component_diff, scalar, sym_product,
+    SymTensor, _check_dim, _read_points, _require_integer, _require_positive, canonical_index_tuples, max_component_diff,
+    scalar, sym_product,
 )
 
 __all__ = [
@@ -181,7 +182,7 @@ def evaluate_basis(max_rank, components, dim=3, convention=PHYSICIST):
     one, zero = (PolyScalar.constant(dim, 1), PolyScalar.constant(dim, 0)) if exact else (1.0, 0.0)
     # H_1 is built even for max_rank 0, so array coordinates are refused at every rank
     values = [scalar(one, dim), SymTensor(dim, 1, [seed_factor * c for c in comps])][: max_rank + 1]
-    delta = SymTensor.from_function(dim, 2, lambda t: one if t[0] == t[1] else zero)
+    delta = SymTensor(dim, 2, [one if i == j else zero for i, j in canonical_index_tuples(2, dim)])
     for n in range(1, max_rank):
         step = sym_product(values[n], values[1]) - (seed_factor * n) * sym_product(values[n - 1], delta)
         values.append(step)

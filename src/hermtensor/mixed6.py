@@ -22,7 +22,8 @@ import numpy as np
 from .hermite import PHYSICIST, evaluate_basis
 from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
 from .symtensor import (
-    SymTensor, _frozen, _read_points, _read_series, _require_kind, _require_positive, max_component_diff, sym_product,
+    SymTensor, _frozen, _holds, _read_points, _read_series, _require_kind, _require_nonzero, _require_positive,
+    max_component_diff, sym_product,
 )
 
 __all__ = [
@@ -87,7 +88,7 @@ class BlockRotation:
     y_prime: float
 
     def __post_init__(self):
-        if not abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) <= 1e-12:  # NaN and inf fail too
+        if not _holds(lambda: abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) <= 1e-12):  # NaN and inf fail too
             raise ValueError("block coefficients must be finite and satisfy y**2 + y'**2 == 1")
 
     @classmethod
@@ -107,10 +108,11 @@ class BlockRotation:
 
 @dataclass(frozen=True)
 class MixedPoint:
-    """A 6-vector with a frame tag.
+    """A 6-vector with a frame tag, read through ``coords``.
 
     In the species frame the coordinates are (z_sp, z_s) stacked; in the
-    com-relative frame they are (c, g).
+    com-relative frame they are (c, g): the upper block is ``coords[:3]``,
+    the lower ``coords[3:]``.
     """
 
     coords: tuple[float, ...]
@@ -121,18 +123,6 @@ class MixedPoint:
         if self.frame not in _FRAMES:
             raise ValueError(f"frame must be one of {_FRAMES}")
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def stack(cls, upper, lower, frame: str) -> "MixedPoint":
-        return cls(tuple(upper) + tuple(lower), frame)
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.asarray(self.coords[:3])
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.asarray(self.coords[3:])
 
 
 def _frame_coords(p: MixedPoint, frame: str | None) -> tuple[float, ...]:
@@ -157,7 +147,7 @@ def species_point_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     _require_kind(SpeciesPair, pair=pair)
     z_s = _read_points("v_s", v_s, 3, batch=False)[0][0] * pair.z_scale(pair.m_s)
     z_sp = _read_points("v_sp", v_sp, 3, batch=False)[0][0] * pair.z_scale(pair.m_sp)
-    return MixedPoint.stack(z_sp, z_s, SPECIES_FRAME)
+    return MixedPoint((*z_sp, *z_s), SPECIES_FRAME)
 
 
 def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
@@ -174,7 +164,7 @@ def com_relative_from_velocities(pair: SpeciesPair, v_s, v_sp) -> MixedPoint:
     v_cm = (pair.m_s * v_s + pair.m_sp * v_sp) / pair.total_mass
     c = v_cm * pair.z_scale(pair.total_mass)
     g = (v_sp - v_s) * pair.z_scale(pair.reduced_mass)
-    return MixedPoint.stack(c, g, COM_RELATIVE_FRAME)
+    return MixedPoint((*c, *g), COM_RELATIVE_FRAME)
 
 
 def _points6(name: str, x, frame: str | None = None, batch: bool = True) -> tuple[np.ndarray, bool]:
@@ -260,6 +250,7 @@ def rotate_coefficients(alphas, rot: BlockRotation) -> list[SymTensor]:
 def mixed_reconstruct(alphas, x, f0: float = 1.0):
     """Evaluate f0 w(x) sum_N inner(alpha_N, H_N(x)) at one 6-vector or MixedPoint (a float) or a batch of them."""
     _require_rank("mixed", len(_read_series("alphas", alphas, 6)) - 1)
+    _require_nonzero("f0", f0)
     return _series(alphas, f0, *_points6("x", x))
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .hermite import PHYSICIST, HermiteConvention, _hermite_table
 from .symtensor import (
-    SymTensor, _axis_counts, _frozen, _read_points, _read_series, _require_integer, _require_kind, _require_positive,
-    multiplicity_vector,
+    SymTensor, _axis_counts, _finite_vector3, _frozen, _read_points, _read_series, _require_integer, _require_kind,
+    _require_nonzero, _require_positive, multiplicity_vector,
 )
 
 __all__ = [
@@ -117,17 +117,6 @@ def _require_rank(name: str, rank: int, low: int = 0) -> None:
     _require_integer(f"{name} rank", rank, low, _RANK_CAPS[name])
 
 
-def _finite_vector3(name: str, value) -> tuple[float, float, float]:
-    """``value`` as a tuple of three finite floats; anything else raises ValueError."""
-    try:
-        vector = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        vector = None
-    if vector is None or vector.shape != (3,) or not np.all(np.isfinite(vector)):
-        raise ValueError(f"{name} must be a finite 3-vector, got {value!r}")
-    return tuple(float(c) for c in vector)
-
-
 def _require_order(rule: QuadratureRule, rank: int) -> None:
     """Rank-``rank`` products need rank >= 0 and order >= 2 rank + 2 to integrate without aliasing."""
     _require_kind(QuadratureRule, rule=rule)
@@ -186,12 +175,18 @@ def _grid_rows(rule: QuadratureRule, max_rank: int) -> tuple[np.ndarray, ...]:
 def _sample(f, rule: QuadratureRule, vectorized: bool) -> tuple[np.ndarray, float]:
     """Evaluate f once on the rule's node grid: its values, in grid_points order, and max |values|.
 
-    A sample that is not finite raises NonFiniteIntegrandError at its first such node.
+    f is called on the whole grid if ``vectorized``, else node by node, and an exception it raises propagates
+    as raised; either result is read by one conversion, and one that is not one number per point raises
+    ValueError.  A sample that is not finite raises NonFiniteIntegrandError at its first such node.
     """
     points = grid_points(rule)
-    values = np.asarray(f(points), dtype=np.float64) if vectorized else np.fromiter(map(f, points), np.float64, len(points))
-    if values.shape != (len(points),):
-        raise ValueError("vectorized integrand must return one value per point")
+    values = f(points) if vectorized else [f(p) for p in points]
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        values = None
+    if values is None or values.shape != (len(points),):
+        raise ValueError("integrand must return one number per point")
     peak = float(np.max(np.abs(values)))
     if not peak < math.inf:  # a finite sample pays this one reduction, no search
         raise NonFiniteIntegrandError(points[int(np.argmax(~np.isfinite(values)))])
@@ -291,6 +286,7 @@ class ExpansionCoefficients:
 
     def __post_init__(self):
         _require_integer("max_rank", self.max_rank)
+        _require_nonzero("f0", self.f0)
         if len(_read_series("coeffs", self.coeffs, 3)) != self.max_rank + 1:
             raise ValueError("need one coefficient tensor per rank 0..max_rank")
 
@@ -340,8 +336,7 @@ def _coefficient_plan(max_rank: int) -> tuple[np.ndarray, np.ndarray, tuple[int,
 
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
     """Probe, then project f: (coefficients, f's values on the rule's grid, the probe's power of two)."""
-    if f0 == 0.0 or not math.isfinite(f0):
-        raise ValueError(f"f0 must be finite and nonzero, got {f0}")
+    _require_nonzero("f0", f0)
     _require_order(rule, max_rank)
     check, unit, values = _probe(f, rule, vectorized)
     if not check.admissible:

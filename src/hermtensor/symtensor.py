@@ -11,10 +11,11 @@ counts: a keyed read, a dense index, a product split.  A symmetrized product
 is one unbuffered scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
-ranks, degrees and orders, positive scalars, points (one d-vector or a
-(K, d) batch), series (tensors of ranks 0, 1, 2, ...), the kind of a
-library object and a pair of tensors of one rank and dimension, each
-refused with a ValueError that names the parameter.
+ranks, degrees and orders, positive scalars, the series scale f0 (finite
+and nonzero), points (one d-vector or a (K, d) batch), finite 3-vectors,
+series (tensors of ranks 0, 1, 2, ...), the kind of a library object and a
+pair of tensors of one rank and dimension, each refused with a ValueError
+that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -54,6 +55,19 @@ def _check_dim(dim: int) -> None:
     """Refuse a dimension that is not an integer (``3.0 in (3, 6)`` is true) or not one of SUPPORTED_DIMS."""
     if not (hasattr(dim, "__index__") and dim in SUPPORTED_DIMS):
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
+
+
+def _holds(test) -> bool:
+    """Whether ``test()`` is true; False where it cannot be evaluated, as on a str, None or an array of several values.
+
+    The scalar guards below and the block-rotation circle test run their tests here, so a value that is no
+    number gets that guard's own refusal.  ``_require_integer`` keeps its inline ``try``: every SymTensor
+    construction runs it, and a closure per call would slow each one.
+    """
+    try:
+        return bool(test())
+    except (TypeError, ValueError):
+        return False
 
 
 def _require_integer(name: str, value: int, low: int = 0, high: int | None = None) -> None:
@@ -107,8 +121,24 @@ def _read_series(name: str, tensors, dim: int):
 def _require_positive(**named: float) -> None:
     """Refuse each keyword value that is not finite and positive, naming it."""
     for name, value in named.items():
-        if not 0 < value < math.inf:
+        if not _holds(lambda: 0 < value < math.inf):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_nonzero(name: str, value: float) -> None:
+    """Refuse a value that is not finite and nonzero, of either sign, naming it: the one reader of the series scale f0."""
+    if not _holds(lambda: -math.inf < value < math.inf and value != 0):
+        raise ValueError(f"{name} must be finite and nonzero, got {value}")
+
+
+def _finite_vector3(name: str, value) -> tuple[float, float, float]:
+    """``value`` as a tuple of three finite floats, read by ``_read_points``; anything else raises ValueError naming it."""
+    try:
+        if np.isfinite(vector := _read_points(name, value, 3, batch=False)[0][0]).all():
+            return tuple(vector.tolist())
+    except ValueError:  # not a 3-vector
+        pass
+    raise ValueError(f"{name} must be a finite 3-vector, got {value!r}")
 
 
 def _require_kind(kind: type, **named) -> None:
@@ -230,11 +260,6 @@ class SymTensor:
         raise AttributeError("SymTensor is immutable")
 
     @classmethod
-    def from_function(cls, dim: int, rank: int, fn) -> "SymTensor":
-        """Build a tensor by evaluating ``fn`` on every canonical tuple."""
-        return cls(dim, rank, [fn(t) for t in canonical_index_tuples(rank, dim)])
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymTensor":
         """Read the canonical components out of a dense array in one gather.
 
@@ -302,7 +327,7 @@ def scalar(value, dim: int) -> SymTensor:
 
 def identity(dim: int) -> SymTensor:
     """The rank-2 Kronecker delta."""
-    return SymTensor.from_function(dim, 2, lambda t: 1.0 if t[0] == t[1] else 0.0)
+    return SymTensor(dim, 2, [1.0 if i == j else 0.0 for i, j in canonical_index_tuples(2, dim)])
 
 
 def outer_power(vector, power: int) -> SymTensor:

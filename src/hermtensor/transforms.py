@@ -15,9 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .hermite import hermite_phys
-from .quadrature import QuadratureRule, _doubled_rule, _finite_vector3, _gram, _require_rank
+from .quadrature import QuadratureRule, _doubled_rule, _gram, _require_rank
 from .symtensor import (
-    SymTensor, _read_points, _read_series, _require_kind, _require_positive, max_component_diff, outer_power, sym_product,
+    SymTensor, _finite_vector3, _read_points, _read_series, _require_kind, _require_positive, max_component_diff,
+    outer_power, sym_product,
 )
 
 __all__ = [

@@ -1,6 +1,7 @@
 """Every rank cap and input guard in one table each: each refuses what is out of range the same way.
 
-The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), integer parameters, the
+The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), the series scale f0
+(``_require_nonzero``), integrand samples (``quadrature._sample``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
 ``_read_series``, the kind guard ``_require_kind``, the tensor-pair guard ``_require_pair``; every integer
 entry also refuses a float, an np.float64 and a str, and takes an np.int64; every rule and translation-map
@@ -202,11 +203,53 @@ POSITIVE = {
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan], ids=repr)
+# a value that cannot be compared, a str or None, is refused the way a number out of range is
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, "a", None], ids=repr)
 @pytest.mark.parametrize("entry,parameter", sorted(POSITIVE))
 def test_positive_guard_names_the_parameter(entry, parameter, value):
     with pytest.raises(ValueError, match=re.escape(f"{parameter} must be finite and positive, got {value}")):
         POSITIVE[entry, parameter](value)
+
+
+# entry -> a call with the series scale f0 set to the given value and every other input admissible
+F0 = {
+    "expand": lambda v: expand(maxwellian, 1, gauss_hermite_rule(8), v, vectorized=True),
+    "truncation_error": lambda v: truncation_error(maxwellian, 1, gauss_hermite_rule(8), v, vectorized=True),
+    "ExpansionCoefficients": lambda v: ExpansionCoefficients(0, (zeros(3, 0),), v),
+    "mixed_reconstruct": lambda v: mixed_reconstruct([zeros(6, 0)], np.zeros(6), v),
+}
+
+
+@pytest.mark.parametrize("value", ["x", 0.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(F0))
+def test_series_scale_guard_names_f0(entry, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'f0 must be finite and nonzero, got {value}')}$"):
+        F0[entry](value)
+
+
+def test_series_scale_takes_either_sign():
+    assert ExpansionCoefficients(0, (zeros(3, 0),), -2.0).f0 == -2.0
+    assert mixed_reconstruct([SymTensor(6, 0, [1.0])], np.zeros(6), -2.0) == -2.0
+
+
+# (integrand, vectorized) for each result that is not one number per point: a point's sample of several numbers,
+# samples of different lengths, text, and a vectorized result of the wrong length
+INTEGRANDS = {
+    "pointwise 2-vector": (lambda p: np.zeros(2), False),
+    "pointwise (1,) array": (lambda p: np.zeros(1), False),
+    "pointwise ragged": (lambda p: [0.0] * (1 + int(p[0] > 0)), False),
+    "pointwise text": (lambda p: "a", False),
+    "vectorized ragged": (lambda p: [[0.0], [0.0, 0.0]], True),
+    "vectorized text": (lambda p: "a", True),
+    "vectorized wrong length": (lambda p: np.zeros(len(p) - 1), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGRANDS))
+def test_integrand_guard_reads_both_kinds_one_way(entry):
+    f, vectorized = INTEGRANDS[entry]
+    with pytest.raises(ValueError, match="^integrand must return one number per point$"):
+        integrate3(f, RULE, vectorized=vectorized)
 
 
 Z = (0.3, -0.1, 0.5)
@@ -247,6 +290,11 @@ INTEGER = {
     "grad_check rank 0": (lambda: grad_check(0, Z), "rank must be an integer >= 1, got 0"),
     "grad_check dim": (lambda: grad_check(2, (*Z, 0.0)), "dimension must be one of (3, 6), got 4"),
     "grad_check h": (lambda: grad_check(2, Z, h=0.0), "h must be finite and positive, got 0.0"),
+    "grad_check h text": (lambda: grad_check(2, Z, h="a"), "h must be finite and positive, got a"),
+    "WeightSpec density array": (
+        lambda: WeightSpec(np.array([1.0, 2.0]), 28 * ATOMIC_MASS, 300.0), "density must be finite and positive, got [1. 2.]"
+    ),
+    "BlockRotation text": (lambda: BlockRotation("a", 1.0), "block coefficients must be finite and satisfy y**2 + y'**2 == 1"),
     "gauss_hermite_rule": (lambda: gauss_hermite_rule(65), "order must be an integer within 1..64, got 65"),
     "QuadratureRule": (lambda: QuadratureRule(0, [], []), "order must be an integer >= 1, got 0"),
     "ExpansionCoefficients count": (
@@ -293,7 +341,7 @@ INTEGER = {
     "translate_basis 6-D": (lambda: translate_basis([zeros(6, 0), zeros(6, 1)], TMAP, TO_CENTERED), series("values", 3)),
     "translate_basis order": (lambda: translate_basis([zeros(3, 1), zeros(3, 0)], TMAP, TO_CENTERED), series("values", 3)),
     "expand vectorized": (
-        lambda: expand(lambda p: np.zeros(3), 1, RULE, vectorized=True), "vectorized integrand must return one value per point"
+        lambda: expand(lambda p: np.zeros(3), 1, RULE, vectorized=True), "integrand must return one number per point"
     ),
     "SymTensor index rank": (lambda: zeros(3, 2)[(0,)], "index of rank 1 for rank-2 tensor"),
     "SymTensor index label": (lambda: zeros(3, 2)[(0, 5)], "axis labels out of range for dim 3: (0, 5)"),

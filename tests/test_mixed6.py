@@ -134,9 +134,9 @@ def test_mixed_point_validation():
 
 
 def test_mixed_point_blocks():
-    p = MixedPoint.stack((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), SPECIES_FRAME)
-    assert np.allclose(p.upper, [1.0, 2.0, 3.0])
-    assert np.allclose(p.lower, [4.0, 5.0, 6.0])
+    p = MixedPoint((*(1.0, 2.0, 3.0), *(4.0, 5.0, 6.0)), SPECIES_FRAME)
+    assert np.allclose(p.coords[:3], [1.0, 2.0, 3.0])
+    assert np.allclose(p.coords[3:], [4.0, 5.0, 6.0])
 
 
 def test_frame_mismatch_raises():
@@ -153,18 +153,18 @@ def test_equal_masses_equal_velocities_collapse():
     # z_s = z_sp = v gives g = 0 and c = sqrt(2) v
     pair = pair_with_ratio(1.0)
     v = (0.3, -0.7, 1.1)
-    p = to_com_relative(MixedPoint.stack(v, v, SPECIES_FRAME), pair)
+    p = to_com_relative(MixedPoint((*v, *v), SPECIES_FRAME), pair)
     assert p.frame == COM_RELATIVE_FRAME
-    assert np.allclose(p.upper, math.sqrt(2.0) * np.asarray(v), atol=1e-15)
-    assert np.allclose(p.lower, 0.0, atol=1e-15)
+    assert np.allclose(p.coords[:3], math.sqrt(2.0) * np.asarray(v), atol=1e-15)
+    assert np.allclose(p.coords[3:], 0.0, atol=1e-15)
 
 
 def test_unit_com_point_splits_evenly():
     pair = pair_with_ratio(1.0)
     p = from_com_relative(MixedPoint((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), COM_RELATIVE_FRAME), pair)
     expected = 1.0 / math.sqrt(2.0)
-    assert np.allclose(p.upper, [expected, 0.0, 0.0])
-    assert np.allclose(p.lower, [expected, 0.0, 0.0])
+    assert np.allclose(p.coords[:3], [expected, 0.0, 0.0])
+    assert np.allclose(p.coords[3:], [expected, 0.0, 0.0])
 
 
 def test_zero_point_roundtrip():

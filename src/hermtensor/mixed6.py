@@ -22,8 +22,8 @@ import numpy as np
 from .hermite import PHYSICIST, evaluate_basis
 from .quadrature import BOLTZMANN, ExpansionCoefficients, _require_rank, _series
 from .symtensor import (
-    SymTensor, _frozen, _holds, _read_points, _read_series, _require_kind, _require_nonzero, _require_positive,
-    max_component_diff, sym_product,
+    SymTensor, _axis_counts, _count_positions, _frozen, _is_real, _read_points, _read_series, _require_kind,
+    _require_nonzero, _require_positive, max_component_diff, n_components, sym_product,
 )
 
 __all__ = [
@@ -88,7 +88,7 @@ class BlockRotation:
     y_prime: float
 
     def __post_init__(self):
-        if not _holds(lambda: abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) <= 1e-12):  # NaN and inf fail too
+        if not (_is_real(self.y) and _is_real(self.y_prime) and abs(self.y * self.y + self.y_prime * self.y_prime - 1.0) <= 1e-12):
             raise ValueError("block coefficients must be finite and satisfy y**2 + y'**2 == 1")
 
     @classmethod
@@ -214,12 +214,12 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
 
 
 def _block(t: SymTensor, first: int) -> SymTensor:
-    """The 3-D tensor ``t`` on labels first..first+2 of a 6-D tensor, zero elsewhere."""
-    if t.rank == 0:
-        return SymTensor(6, 0, t.data)
-    dense = np.zeros((6,) * t.rank)
-    dense[(slice(first, first + 3),) * t.rank] = t.to_dense()
-    return SymTensor.from_dense(dense)
+    """The 3-D tensor ``t`` on labels first..first+2 of a 6-D tensor, zero elsewhere, placed by label counts."""
+    counts = np.zeros((len(t.data), 6), dtype=np.intp)
+    counts[:, first : first + 3] = _axis_counts(t.rank, 3)
+    data = np.zeros(n_components(t.rank, 6))
+    data[_count_positions(counts, t.rank, 6)] = t.data
+    return SymTensor(6, t.rank, _frozen(data))
 
 
 def stack_coefficients(coeff_s: ExpansionCoefficients, coeff_sp: ExpansionCoefficients) -> list[SymTensor]:

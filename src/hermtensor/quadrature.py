@@ -28,8 +28,8 @@ import numpy as np
 
 from .hermite import PHYSICIST, HermiteConvention, _hermite_table
 from .symtensor import (
-    SymTensor, _axis_counts, _finite_vector3, _frozen, _read_points, _read_series, _require_integer, _require_kind,
-    _require_nonzero, _require_positive, multiplicity_vector,
+    SymTensor, _axis_counts, _count_plan, _finite_vector3, _frozen, _read_points, _read_series, _require_integer,
+    _require_kind, _require_nonzero, _require_positive,
 )
 
 __all__ = [
@@ -176,17 +176,19 @@ def _sample(f, rule: QuadratureRule, vectorized: bool) -> tuple[np.ndarray, floa
     """Evaluate f once on the rule's node grid: its values, in grid_points order, and max |values|.
 
     f is called on the whole grid if ``vectorized``, else node by node, and an exception it raises propagates
-    as raised; either result is read by one conversion, and one that is not one number per point raises
-    ValueError.  A sample that is not finite raises NonFiniteIntegrandError at its first such node.
+    as raised; either result is read by one ``np.asarray``, and one that is not one number per point, or not of
+    a bool, integer or real dtype (None, text, complex), raises ValueError.  A sample that is not finite raises
+    NonFiniteIntegrandError at its first such node.
     """
     points = grid_points(rule)
     values = f(points) if vectorized else [f(p) for p in points]
     try:
-        values = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
+        values = np.asarray(values)
+    except (TypeError, ValueError):  # ragged
         values = None
-    if values is None or values.shape != (len(points),):
+    if values is None or values.dtype.kind not in "biuf" or values.shape != (len(points),):
         raise ValueError("integrand must return one number per point")
+    values = values.astype(np.float64, copy=False)  # a float64 grid result is read, not copied
     peak = float(np.max(np.abs(values)))
     if not peak < math.inf:  # a finite sample pays this one reduction, no search
         raise NonFiniteIntegrandError(points[int(np.argmax(~np.isfinite(values)))])
@@ -325,15 +327,6 @@ def _moments(vector: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table @ (first @ table.T).reshape(top, order, top)  # [a, j, c], then b from j
 
 
-@lru_cache(maxsize=None)
-def _coefficient_plan(max_rank: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Read-only (moment-cube index, 2**m m!, rank bounds) over the 3-D components of ranks 0..max_rank."""
-    counts = [_axis_counts(m, 3) for m in range(max_rank + 1)]
-    index = np.ravel_multi_index(tuple(np.concatenate(counts).T), (max_rank + 1,) * 3)
-    norms = np.concatenate([np.full(len(c), 2.0**m * math.factorial(m)) for m, c in enumerate(counts)])
-    return _frozen(index), _frozen(norms), tuple(np.cumsum([0] + [len(c) for c in counts]).tolist())
-
-
 def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool):
     """Probe, then project f: (coefficients, f's values on the rule's grid, the probe's power of two)."""
     _require_nonzero("f0", f0)
@@ -346,13 +339,14 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     # the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
     table = _cached(rule, ("fold", max_rank), lambda: _axis_table(rule, max_rank) * (rule.weights * np.exp(rule.nodes**2)))
     moments = _moments(values * (1.0 / unit), table)
-    index, norms, bounds = _coefficient_plan(max_rank)
+    _, _, cube, bounds = _count_plan(max_rank, 3)
     with np.errstate(all="ignore"):  # an overflowing divisor would zero its coefficients: both are refused
-        divisor = norms * (f0 / unit)
-        data = _frozen(math.pi ** (-1.5) * moments.ravel()[index] / divisor)
-    if not (np.isfinite(divisor).all() and np.isfinite(data).all()):
+        data = math.pi ** (-1.5) * moments.ravel()[cube]
+        for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # the divisor grows with m: the last is the largest
+            np.divide(part := data[lo:hi], divisor := 2.0**m * math.factorial(m) * (f0 / unit), out=part)
+    if not (math.isfinite(divisor) and np.isfinite(data).all()):
         raise ArithmeticError("an expansion coefficient is not finite, or its divisor 2**m m! f0 overflows in f's units")
-    coeffs = tuple(SymTensor(3, m, data[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+    coeffs = tuple(SymTensor(3, m, _frozen(data)[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
     return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), values, unit
 
 
@@ -373,10 +367,8 @@ def _series_plan(top: int, dim: int):
         blocks = tuple((last.index(j), last.count(j)) for j in range(top + 1))
         folds.insert(0, (axis, _frozen(np.array(last)), blocks, gather))
         order = sorted(rows, key=sum)
-    counts = np.concatenate([_axis_counts(n, dim) for n in range(top + 1)]).tolist()
-    scatter = np.array([rows.index(tuple(c[:-1])) * (top + 1) + c[-1] for c in counts])
-    multiplicities = np.concatenate([multiplicity_vector(n, dim) for n in range(top + 1)])
-    return (len(rows), top + 1), _frozen(scatter), _frozen(multiplicities), tuple(folds)
+    scatter = np.array([rows.index(tuple(c[:-1])) * (top + 1) + c[-1] for c in _count_plan(top, dim)[0].tolist()])
+    return (len(rows), top + 1), _frozen(scatter), _count_plan(top, dim)[1], tuple(folds)
 
 
 def _series(tensors, f0: float, pts: np.ndarray, single: bool):
@@ -426,8 +418,9 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     weights, scale = grid_weights(rule), f0 / unit
     errors = np.empty(max_rank + 1)
     partial, residual = np.zeros_like(g), np.empty_like(g)
+    _, multiplicities, _, bounds = _count_plan(max_rank, 3)
     for top, row in enumerate(_grid_rows(rule, max_rank)):
-        partial += (multiplicity_vector(top, 3) * coeffs[top].data) @ row
+        partial += (multiplicities[bounds[top] : bounds[top + 1]] * coeffs[top].data) @ row
         # w (g - f0 partial)**2 in one buffer, summed pairwise in a fixed order
         np.square(np.subtract(g, np.multiply(partial, scale, out=residual), out=residual), out=residual)
         total = np.add.reduce(np.multiply(weights, residual, out=residual))

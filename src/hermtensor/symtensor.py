@@ -6,16 +6,18 @@ exactly those canonical components, ordered lexicographically by sorted index
 tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 
 The module owns the label-count table of canonical storage (how often each
-axis appears in each tuple), and every storage position is found from label
-counts: a keyed read, a dense index, a product split.  A symmetrized product
-is one unbuffered scatter-add over a flat split plan built once per rank pair.
+axis appears in each tuple) and the count plan of a series of ranks 0..N
+(counts, multiplicities and count-cube positions, rank after rank), and
+every storage position is found from label counts: a keyed read, a dense
+index, a block embedding, a product split.  A symmetrized product is one
+unbuffered scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
-ranks, degrees and orders, positive scalars, the series scale f0 (finite
-and nonzero), points (one d-vector or a (K, d) batch), finite 3-vectors,
-series (tensors of ranks 0, 1, 2, ...), the kind of a library object and a
-pair of tensors of one rank and dimension, each refused with a ValueError
-that names the parameter.
+ranks, degrees and orders, positive real numbers, the series scale f0 (a
+finite, nonzero real number), points (one d-vector or a (K, d) batch),
+finite 3-vectors, series (tensors of ranks 0, 1, 2, ...), the kind of a
+library object and a pair of tensors of one rank and dimension, each
+refused with a ValueError that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from functools import lru_cache
 
@@ -57,27 +60,20 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
 
 
-def _holds(test) -> bool:
-    """Whether ``test()`` is true; False where it cannot be evaluated, as on a str, None or an array of several values.
-
-    The scalar guards below and the block-rotation circle test run their tests here, so a value that is no
-    number gets that guard's own refusal.  ``_require_integer`` keeps its inline ``try``: every SymTensor
-    construction runs it, and a closure per call would slow each one.
-    """
-    try:
-        return bool(test())
-    except (TypeError, ValueError):
-        return False
+def _is_real(value) -> bool:
+    """Whether ``value`` is one real number: an int, float or numpy real scalar, not a bool, an array or a str."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_integer(name: str, value: int, low: int = 0, high: int | None = None) -> None:
     """Refuse an integer parameter (a rank, a degree, an order) that is not an integer within low..high, naming it.
 
-    An integer has ``__index__`` (int, np.int64); a float, np.float64 or str does not.  Plain positional
-    calls, no keyword dict: every SymTensor construction runs one, through n_components.
+    An integer has ``__index__`` (int, np.int64); a float, np.float64 or str does not, and a bool is refused
+    too.  Plain positional calls, no keyword dict, and an inline ``try``: every SymTensor construction runs
+    one, through n_components.
     """
     try:
-        if low <= operator.index(value) and (high is None or value <= high):
+        if low <= operator.index(value) and (high is None or value <= high) and not isinstance(value, bool):
             return
     except TypeError:
         pass
@@ -119,15 +115,15 @@ def _read_series(name: str, tensors, dim: int):
 
 
 def _require_positive(**named: float) -> None:
-    """Refuse each keyword value that is not finite and positive, naming it."""
+    """Refuse each keyword value that is not one finite, positive real number, naming it."""
     for name, value in named.items():
-        if not _holds(lambda: 0 < value < math.inf):
+        if not (_is_real(value) and 0 < value < math.inf):
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _require_nonzero(name: str, value: float) -> None:
-    """Refuse a value that is not finite and nonzero, of either sign, naming it: the one reader of the series scale f0."""
-    if not _holds(lambda: -math.inf < value < math.inf and value != 0):
+    """Refuse a value that is not one finite, nonzero real number, of either sign, naming it: the one reader of f0."""
+    if not (_is_real(value) and -math.inf < value < math.inf and value != 0):
         raise ValueError(f"{name} must be finite and nonzero, got {value}")
 
 
@@ -363,6 +359,19 @@ def _count_positions(counts: np.ndarray, rank: int, dim: int) -> np.ndarray:
     """Storage positions of the rank-``rank`` tuples with the given label-count rows."""
     radix, keys = _count_keys(rank, dim)
     return np.searchsorted(keys, -(counts @ radix))
+
+
+@lru_cache(maxsize=None)
+def _count_plan(top: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only (label counts, multiplicities, cube positions, rank bounds) of the canonical tuples of ranks 0..top.
+
+    The ranks are concatenated in storage order, rank n at bounds[n]:bounds[n + 1].  A tuple's cube position
+    is the flat index of its label counts in the (top + 1)**dim count cube.
+    """
+    counts = np.concatenate([_axis_counts(n, dim) for n in range(top + 1)])
+    multiplicities = np.concatenate([_multiplicities(n, dim) for n in range(top + 1)])
+    bounds = tuple(np.cumsum([0] + [n_components(n, dim) for n in range(top + 1)]).tolist())
+    return _frozen(counts), _frozen(multiplicities), _frozen(np.ravel_multi_index(tuple(counts.T), (top + 1,) * dim)), bounds
 
 
 @lru_cache(maxsize=None)

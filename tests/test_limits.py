@@ -4,7 +4,7 @@ The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``)
 (``_require_nonzero``), integrand samples (``quadrature._sample``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
 ``_read_series``, the kind guard ``_require_kind``, the tensor-pair guard ``_require_pair``; every integer
-entry also refuses a float, an np.float64 and a str, and takes an np.int64; every rule and translation-map
+entry also refuses a float, an np.float64, a str and a bool, and takes an np.int64; every rule and translation-map
 parameter refuses a number), points (the point reader ``_read_points``), and 6-D points (the
 ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
 """
@@ -203,8 +203,9 @@ POSITIVE = {
 }
 
 
-# a value that cannot be compared, a str or None, is refused the way a number out of range is
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, "a", None], ids=repr)
+# a value that is not one real number (a str, None, a bool, an array even of one value or 0-d) is refused the way
+# a number out of range is
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, "a", None, True, np.array([1.2]), np.array(1.2)], ids=repr)
 @pytest.mark.parametrize("entry,parameter", sorted(POSITIVE))
 def test_positive_guard_names_the_parameter(entry, parameter, value):
     with pytest.raises(ValueError, match=re.escape(f"{parameter} must be finite and positive, got {value}")):
@@ -220,7 +221,7 @@ F0 = {
 }
 
 
-@pytest.mark.parametrize("value", ["x", 0.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("value", ["x", 0.0, math.nan, math.inf, True, np.array([1.0])], ids=repr)
 @pytest.mark.parametrize("entry", sorted(F0))
 def test_series_scale_guard_names_f0(entry, value):
     with pytest.raises(ValueError, match=f"^{re.escape(f'f0 must be finite and nonzero, got {value}')}$"):
@@ -233,7 +234,7 @@ def test_series_scale_takes_either_sign():
 
 
 # (integrand, vectorized) for each result that is not one number per point: a point's sample of several numbers,
-# samples of different lengths, text, and a vectorized result of the wrong length
+# samples of different lengths, text, None, and a vectorized result of the wrong length
 INTEGRANDS = {
     "pointwise 2-vector": (lambda p: np.zeros(2), False),
     "pointwise (1,) array": (lambda p: np.zeros(1), False),
@@ -242,6 +243,8 @@ INTEGRANDS = {
     "vectorized ragged": (lambda p: [[0.0], [0.0, 0.0]], True),
     "vectorized text": (lambda p: "a", True),
     "vectorized wrong length": (lambda p: np.zeros(len(p) - 1), True),
+    "pointwise None": (lambda p: None, False),
+    "vectorized None": (lambda p: [None] * len(p), True),
 }
 
 
@@ -295,6 +298,7 @@ INTEGER = {
         lambda: WeightSpec(np.array([1.0, 2.0]), 28 * ATOMIC_MASS, 300.0), "density must be finite and positive, got [1. 2.]"
     ),
     "BlockRotation text": (lambda: BlockRotation("a", 1.0), "block coefficients must be finite and satisfy y**2 + y'**2 == 1"),
+    "BlockRotation bool": (lambda: BlockRotation(True, False), "block coefficients must be finite and satisfy y**2 + y'**2 == 1"),
     "gauss_hermite_rule": (lambda: gauss_hermite_rule(65), "order must be an integer within 1..64, got 65"),
     "QuadratureRule": (lambda: QuadratureRule(0, [], []), "order must be an integer >= 1, got 0"),
     "ExpansionCoefficients count": (
@@ -393,11 +397,11 @@ INTEGER_PARAMETERS = {
     "equivariance_residual": (lambda v: equivariance_residual(v, np.zeros(6), PAIR), "mixed rank", "within 0..4"),
 }
 
-# an integer parameter refuses 1.5, and each twin of 2 that has no __index__
+# an integer parameter refuses 1.5, each twin of 2 that has no __index__, and a bool
 INTEGER.update(
     (f"{entry} {value!r}", (functools.partial(call, value), f"{name} must be an integer {bound}, got {value!r}"))
     for entry, (call, name, bound) in INTEGER_PARAMETERS.items()
-    for value in (1.5, 2.0, np.float64(2.0), "2")
+    for value in (1.5, 2.0, np.float64(2.0), "2", True)
 )
 
 

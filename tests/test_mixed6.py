@@ -434,6 +434,17 @@ def test_stack_coefficients_closed_form_matches_embedding():
                 assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 
 
+def test_stack_coefficients_builds_no_dense_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense array built")
+
+    monkeypatch.setattr(SymTensor, "to_dense", refuse)
+    monkeypatch.setattr(SymTensor, "from_dense", refuse)
+    coeff_s, coeff_sp = drifted_pair_coefficients()
+    got = stack_coefficients(coeff_s, coeff_sp)
+    assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in gathered_stack(coeff_s, coeff_sp)]
+
+
 def test_rotate_coefficients_involution():
     coeff_s, coeff_sp = drifted_pair_coefficients()
     rot = BlockRotation.from_pair(pair_with_ratio(4.0))

@@ -17,7 +17,6 @@ from hermtensor.quadrature import (
     QuadratureRule,
     WeightSpec,
     _axis_table,
-    _coefficient_plan,
     _gram,
     _grid_rows,
     _series,
@@ -34,6 +33,7 @@ from hermtensor.quadrature import (
 )
 from hermtensor.symtensor import (
     SymTensor,
+    _count_plan,
     canonical_index_tuples,
     multiplicity_vector,
     n_components,
@@ -450,7 +450,7 @@ def test_series_plan_is_cached_read_only_and_within_components(top, dim):
     # no (top + 1)**dim cube: every intermediate holds at most one row per component
     assert shape[0] <= components and all(len(counts) <= components for _, counts, _, _ in folds)
     arrays = [scatter, multiplicities, *(a for _, counts, _, gather in folds for a in (counts, gather) if a is not None)]
-    arrays += list(_coefficient_plan(top)[:2])
+    arrays += list(_count_plan(top, dim)[:3])
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

@@ -20,7 +20,7 @@ from hermtensor.symtensor import (
     scalar,
     sym_product,
 )
-from hermtensor.symtensor import _dense_positions, _split_plan
+from hermtensor.symtensor import _axis_counts, _count_plan, _dense_positions, _split_plan
 
 
 def random_symtensor(rng, dim, rank):
@@ -73,6 +73,22 @@ def test_one_table_per_rank_whatever_its_integer_type():
     for rank, dim in ((np.int64(2), 3), (2, np.int64(3)), (np.int64(4), np.int64(6))):
         assert canonical_index_tuples(rank, dim) is canonical_index_tuples(int(rank), int(dim))
         assert multiplicity_vector(rank, dim) is multiplicity_vector(int(rank), int(dim))
+
+
+@pytest.mark.parametrize(("dim", "top"), [(3, n) for n in range(7)] + [(6, n) for n in range(5)])
+def test_count_plan_is_the_per_rank_tables_concatenated(dim, top):
+    plan = _count_plan(top, dim)
+    assert _count_plan(top, dim) is plan
+    counts, multiplicities, cube, bounds = plan
+    assert bounds == tuple(sum(n_components(m, dim) for m in range(n)) for n in range(top + 2))
+    for n in range(top + 1):
+        lo, hi = bounds[n], bounds[n + 1]
+        assert np.array_equal(counts[lo:hi], _axis_counts(n, dim))
+        assert multiplicities[lo:hi].tobytes() == multiplicity_vector(n, dim).tobytes()
+        assert np.array_equal(cube[lo:hi], np.ravel_multi_index(tuple(_axis_counts(n, dim).T), (top + 1,) * dim))
+    for arr in (counts, multiplicities, cube):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("dim,rank,count", [(3, 2, 6), (3, 3, 10), (3, 6, 28), (6, 3, 56), (6, 4, 126)])

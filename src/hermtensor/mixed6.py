@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -213,12 +213,18 @@ def equivariance_residual(N: int, x, pair: SpeciesPair) -> float:
     return float(np.max([max_component_diff(a, b) for a, b in zip(at_rotated, rotated)]))
 
 
+@lru_cache(maxsize=None)
+def _block_positions(rank: int, first: int) -> np.ndarray:
+    """Read-only storage positions, in a rank-``rank`` 6-D tensor, of the 3-D tuples put on labels first..first+2."""
+    counts = np.zeros((n_components(rank, 3), 6), dtype=np.intp)
+    counts[:, first : first + 3] = _axis_counts(rank, 3)
+    return _frozen(_count_positions(counts, rank, 6))
+
+
 def _block(t: SymTensor, first: int) -> SymTensor:
     """The 3-D tensor ``t`` on labels first..first+2 of a 6-D tensor, zero elsewhere, placed by label counts."""
-    counts = np.zeros((len(t.data), 6), dtype=np.intp)
-    counts[:, first : first + 3] = _axis_counts(t.rank, 3)
     data = np.zeros(n_components(t.rank, 6))
-    data[_count_positions(counts, t.rank, 6)] = t.data
+    data[_block_positions(t.rank, first)] = t.data
     return SymTensor(6, t.rank, _frozen(data))
 
 

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 64
+# the orthogonality constants 2**m m! of the ranks a rule of order <= MAX_ORDER can project (2 m + 2 <= order)
+_NORMS = _frozen(np.array([2.0**m * math.factorial(m) for m in range(MAX_ORDER // 2)]))
 
 # CODATA 2022 values as scipy.constants reports them; k_B is exact in SI
 BOLTZMANN = 1.380649e-23
@@ -339,12 +341,11 @@ def _project(f, max_rank: int, rule: QuadratureRule, f0: float, vectorized: bool
     # the probe's power of two cannot overflow the contraction, and the divisor takes the scale back
     table = _cached(rule, ("fold", max_rank), lambda: _axis_table(rule, max_rank) * (rule.weights * np.exp(rule.nodes**2)))
     moments = _moments(values * (1.0 / unit), table)
-    _, _, cube, bounds = _count_plan(max_rank, 3)
+    _, _, cube, ranks, bounds = _count_plan(max_rank, 3)
     with np.errstate(all="ignore"):  # an overflowing divisor would zero its coefficients: both are refused
-        data = math.pi ** (-1.5) * moments.ravel()[cube]
-        for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # the divisor grows with m: the last is the largest
-            np.divide(part := data[lo:hi], divisor := 2.0**m * math.factorial(m) * (f0 / unit), out=part)
-    if not (math.isfinite(divisor) and np.isfinite(data).all()):
+        divisor = _NORMS[ranks] * (f0 / unit)  # grows with the rank: the last is the largest
+        data = math.pi ** (-1.5) * moments.ravel()[cube] / divisor
+    if not (math.isfinite(divisor[-1]) and np.isfinite(data).all()):
         raise ArithmeticError("an expansion coefficient is not finite, or its divisor 2**m m! f0 overflows in f's units")
     coeffs = tuple(SymTensor(3, m, _frozen(data)[lo:hi]) for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
     return ExpansionCoefficients(max_rank, coeffs, f0, check.admissible), values, unit
@@ -418,7 +419,7 @@ def truncation_error(f, max_rank: int, rule: QuadratureRule, f0: float = 1.0, *,
     weights, scale = grid_weights(rule), f0 / unit
     errors = np.empty(max_rank + 1)
     partial, residual = np.zeros_like(g), np.empty_like(g)
-    _, multiplicities, _, bounds = _count_plan(max_rank, 3)
+    _, multiplicities, _, _, bounds = _count_plan(max_rank, 3)
     for top, row in enumerate(_grid_rows(rule, max_rank)):
         partial += (multiplicities[bounds[top] : bounds[top + 1]] * coeffs[top].data) @ row
         # w (g - f0 partial)**2 in one buffer, summed pairwise in a fixed order

@@ -7,17 +7,18 @@ tuple, so a rank-6 tensor over 3 axes keeps 28 numbers instead of 729.
 
 The module owns the label-count table of canonical storage (how often each
 axis appears in each tuple) and the count plan of a series of ranks 0..N
-(counts, multiplicities and count-cube positions, rank after rank), and
-every storage position is found from label counts: a keyed read, a dense
-index, a block embedding, a product split.  A symmetrized product is one
-unbuffered scatter-add over a flat split plan built once per rank pair.
+(counts, multiplicities, count-cube positions and ranks, rank after rank).
+A count row's cube position is its one integer encoding, and every storage
+position is found by searching it: a keyed read, a dense index, a block
+embedding, a product split.  A symmetrized product is one unbuffered
+scatter-add over a flat split plan built once per rank pair.
 It sits at the bottom of the import graph, so it also holds the generic
 input guards every module calls: the dimension, integer parameters such as
 ranks, degrees and orders, positive real numbers, the series scale f0 (a
 finite, nonzero real number), points (one d-vector or a (K, d) batch),
-finite 3-vectors, series (tensors of ranks 0, 1, 2, ...), the kind of a
-library object and a pair of tensors of one rank and dimension, each
-refused with a ValueError that names the parameter.
+finite 3-vectors, series (float tensors of ranks 0, 1, 2, ...), the kind of
+a library object and a pair of tensors of one rank, dimension and kind
+(exact or float), each refused with a ValueError that names the parameter.
 
 A tensor holds one scalar per canonical tuple in a flat vector: float64 in
 ordinary use, or an exact ring element that supports +, * and division by
@@ -104,13 +105,16 @@ def _read_points(name: str, x, dim: int | None = None, batch: bool = True, vecto
 
 
 def _read_series(name: str, tensors, dim: int):
-    """``tensors`` if it is a list or tuple of d-D SymTensors of ranks 0, 1, 2, ... in order.
+    """``tensors`` if it is a list or tuple of d-D SymTensors of ranks 0, 1, 2, ... in order, with float components.
 
-    Anything else raises one ValueError naming ``name``.
+    Anything else raises one ValueError naming ``name``; exact (object) components are refused after the shape,
+    since every series reader answers in floats.
     """
     if not (isinstance(tensors, (list, tuple))
             and all(isinstance(t, SymTensor) and (t.dim, t.rank) == (dim, n) for n, t in enumerate(tensors))):
         raise ValueError(f"{name} must be a list or tuple of {dim}-D SymTensors of ranks 0, 1, 2, ... in order")
+    if any(t.data.dtype != np.float64 for t in tensors):
+        raise ValueError(f"{name} must hold float components, got exact ones")
     return tensors
 
 
@@ -145,11 +149,16 @@ def _require_kind(kind: type, **named) -> None:
             raise ValueError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
-def _require_pair(a, b) -> None:
-    """Refuse ``a`` or ``b`` that is not a SymTensor, naming it, then a pair of different rank or dimension."""
+def _require_pair(a, b, same_rank: bool = True) -> None:
+    """Refuse a non-SymTensor ``a`` or ``b``, naming it, then a pair of other dimension or rank, or exact with float.
+
+    ``sym_product`` passes ``same_rank=False``: its factors may differ in rank.
+    """
     _require_kind(SymTensor, a=a, b=b)
-    if (a.dim, a.rank) != (b.dim, b.rank):
-        raise ValueError("rank/dim mismatch")
+    if a.dim != b.dim or same_rank and a.rank != b.rank:
+        raise ValueError("rank/dim mismatch" if same_rank else "dim mismatch")
+    if a.data.dtype != b.data.dtype:
+        raise ValueError("a and b must both hold exact or both hold float components")
 
 
 def n_components(rank: int, dim: int) -> int:
@@ -280,7 +289,9 @@ class SymTensor:
         return self.data[_dense_positions(self.rank, self.dim)].astype(np.float64, copy=False)
 
     def __getitem__(self, key):
-        entries = tuple(sorted(int(a) for a in key))
+        if not (isinstance(key, (tuple, list)) and all(hasattr(a, "__index__") and not isinstance(a, bool) for a in key)):
+            raise ValueError(f"key must be a tuple or list of integer axis labels, got {key!r}")
+        entries = tuple(sorted(operator.index(a) for a in key))
         if len(entries) != self.rank:
             raise ValueError(f"index of rank {len(entries)} for rank-{self.rank} tensor")
         if entries and not (0 <= entries[0] and entries[-1] < self.dim):
@@ -348,30 +359,29 @@ def _axis_counts(rank: int, dim: int) -> np.ndarray:
     return _frozen(np.array([[t.count(a) for a in range(dim)] for t in canonical_index_tuples(rank, dim)], dtype=np.intp))
 
 
-@lru_cache(maxsize=None)
-def _count_keys(rank: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (radix, keys): a label-count row's key is -(counts @ radix), strictly increasing in storage order."""
-    radix = (rank + 1) ** np.arange(dim - 1, -1, -1)
-    return _frozen(radix), _frozen(-(_axis_counts(rank, dim) @ radix))
-
-
 def _count_positions(counts: np.ndarray, rank: int, dim: int) -> np.ndarray:
-    """Storage positions of the rank-``rank`` tuples with the given label-count rows."""
-    radix, keys = _count_keys(rank, dim)
-    return np.searchsorted(keys, -(counts @ radix))
+    """Storage positions of the rank-``rank`` tuples with the given label-count rows, found by their cube positions.
+
+    The rank-``rank`` slice of the count plan's cube positions strictly decreases in storage order (storage is
+    lexicographic in the tuples, so descending in the counts), so its reversed view is searched.
+    """
+    cube = _count_plan(rank, dim)[2][::-1][: n_components(rank, dim)]
+    return len(cube) - 1 - np.searchsorted(cube, np.ravel_multi_index(tuple(np.asarray(counts).T), (rank + 1,) * dim))
 
 
 @lru_cache(maxsize=None)
-def _count_plan(top: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Read-only (label counts, multiplicities, cube positions, rank bounds) of the canonical tuples of ranks 0..top.
+def _count_plan(top: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only (label counts, multiplicities, cube positions, ranks, rank bounds) of the tuples of ranks 0..top.
 
     The ranks are concatenated in storage order, rank n at bounds[n]:bounds[n + 1].  A tuple's cube position
-    is the flat index of its label counts in the (top + 1)**dim count cube.
+    is the flat index of its label counts in the (top + 1)**dim count cube, the one integer encoding of a
+    label-count row; its rank is its label count total.
     """
     counts = np.concatenate([_axis_counts(n, dim) for n in range(top + 1)])
     multiplicities = np.concatenate([_multiplicities(n, dim) for n in range(top + 1)])
+    cube = np.ravel_multi_index(tuple(counts.T), (top + 1,) * dim)
     bounds = tuple(np.cumsum([0] + [n_components(n, dim) for n in range(top + 1)]).tolist())
-    return _frozen(counts), _frozen(multiplicities), _frozen(np.ravel_multi_index(tuple(counts.T), (top + 1,) * dim)), bounds
+    return _frozen(counts), _frozen(multiplicities), _frozen(cube), _frozen(counts.sum(axis=1)), bounds
 
 
 @lru_cache(maxsize=None)
@@ -401,9 +411,7 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     A[L] * B[I - L] into each output from zero, term by term in canonical
     order of L, then divides by C(p+q, p); float and exact alike.
     """
-    _require_kind(SymTensor, a=a, b=b)
-    if a.dim != b.dim:
-        raise ValueError("dim mismatch")
+    _require_pair(a, b, same_rank=False)
     p, q = a.rank, b.rank
     x, y = a.data, b.data
     out, left, right, count = _split_plan(p, q, a.dim)
@@ -438,6 +446,8 @@ def inner(a: SymTensor, b: SymTensor) -> float:
 
 
 def max_component_diff(a: SymTensor, b: SymTensor) -> float:
-    """Largest absolute component difference (numeric tensors only)."""
+    """Largest absolute component difference (float tensors only)."""
     _require_pair(a, b)
-    return float(np.max(np.abs(np.asarray(a.data, dtype=np.float64) - np.asarray(b.data, dtype=np.float64))))
+    if a.data.dtype != np.float64:
+        raise ValueError("a and b must hold float components, got exact ones")
+    return float(np.max(np.abs(a.data - b.data)))

@@ -3,7 +3,8 @@
 The tables: rank caps (``_RANK_CAPS``), positive scalars (``_require_positive``), the series scale f0
 (``_require_nonzero``), integrand samples (``quadrature._sample``), integer parameters, the
 dimension and the other shape and kind refusals (``_require_integer``, ``_check_dim``, the series reader
-``_read_series``, the kind guard ``_require_kind``, the tensor-pair guard ``_require_pair``; every integer
+``_read_series`` and its refusal of exact components, the kind guard ``_require_kind``, the tensor-pair guard
+``_require_pair`` and its refusal of an exact tensor with a float one, the tensor read's integer labels; every integer
 entry also refuses a float, an np.float64, a str and a bool, and takes an np.int64; every rule and translation-map
 parameter refuses a number), points (the point reader ``_read_points``), and 6-D points (the
 ``mixed6`` reader on top of it).  Each refusal is a ``ValueError`` naming the parameter.
@@ -274,6 +275,20 @@ def not_dim(value):
     return f"dimension must be one of (3, 6), got {value}"
 
 
+def not_key(key):
+    """The tensor read's refusal of ``key``, which is not a sequence of integer axis labels."""
+    return f"key must be a tuple or list of integer axis labels, got {key!r}"
+
+
+def not_float(name):
+    """The series reader's refusal of exact (PolyScalar) components given as ``name``."""
+    return f"{name} must hold float components, got exact ones"
+
+
+# the pair guard's refusal of one exact and one float tensor
+MIXED_KINDS = "a and b must both hold exact or both hold float components"
+
+
 # entry -> (a call with one input refused and every other input admissible, the refusal): an integer, the
 # dimension or the step out of range, or an input of the wrong shape or kind; outer_power's power is the rank of
 # its result.  _require_order's refusal is pinned by test_negative_ranks_are_refused
@@ -351,6 +366,25 @@ INTEGER = {
     "SymTensor index label": (lambda: zeros(3, 2)[(0, 5)], "axis labels out of range for dim 3: (0, 5)"),
     "SymTensor negative label": (lambda: zeros(3, 2)[(2, -1)], "axis labels out of range for dim 3: (-1, 2)"),
     "SymTensor MultiIndex": (lambda: zeros(3, 2)[(1,)], "index of rank 1 for rank-2 tensor"),
+    "SymTensor float label": (lambda: zeros(3, 2)[(0, 1.7)], not_key((0, 1.7))),
+    "SymTensor bool label": (lambda: zeros(3, 2)[(True, 0)], not_key((True, 0))),
+    "SymTensor text label": (lambda: zeros(3, 2)[("a", 0)], not_key(("a", 0))),
+    "SymTensor bare label": (lambda: zeros(3, 1)[0], not_key(0)),
+    "ExpansionCoefficients exact": (lambda: ExpansionCoefficients(2, tuple(hermite_symbolic(2))), not_float("coeffs")),
+    "mixed_reconstruct exact": (lambda: mixed_reconstruct(hermite_symbolic(1, dim=6), np.zeros(6)), not_float("alphas")),
+    "rotate_coefficients exact": (
+        lambda: rotate_coefficients(hermite_symbolic(1, dim=6), BlockRotation.from_pair(PAIR)), not_float("alphas")
+    ),
+    "translate_basis exact": (lambda: translate_basis(hermite_symbolic(2), TMAP, TO_CENTERED), not_float("values")),
+    "sym_product exact float": (lambda: sym_product(hermite_symbolic(1)[1], zeros(3, 1)), MIXED_KINDS),
+    "sym_product float exact": (lambda: sym_product(zeros(3, 2), hermite_symbolic(1)[0]), MIXED_KINDS),
+    "SymTensor + exact float": (lambda: hermite_symbolic(1)[1] + zeros(3, 1), MIXED_KINDS),
+    "SymTensor - float exact": (lambda: zeros(3, 1) - hermite_symbolic(1)[1], MIXED_KINDS),
+    "inner exact float": (lambda: inner(hermite_symbolic(1)[1], zeros(3, 1)), MIXED_KINDS),
+    "max_component_diff exact": (
+        lambda: max_component_diff(hermite_symbolic(1)[1], hermite_symbolic(1)[1]),
+        "a and b must hold float components, got exact ones",
+    ),
     "convergence_probe smap": (lambda: convergence_probe(3.0, RULE), "smap must be a ScalingMap, got float"),
     "to_com_relative p": (lambda: to_com_relative((0.0,) * 6, PAIR), "p must be a MixedPoint, got tuple"),
     "from_com_relative p": (lambda: from_com_relative(3.0, PAIR), "p must be a MixedPoint, got float"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import atomic_mass
 
+from hermtensor import mixed6, symtensor
 from hermtensor.hermite import hermite_phys
 from hermtensor.mixed6 import (
     COM_RELATIVE_FRAME,
@@ -443,6 +444,21 @@ def test_stack_coefficients_builds_no_dense_array(monkeypatch):
     coeff_s, coeff_sp = drifted_pair_coefficients()
     got = stack_coefficients(coeff_s, coeff_sp)
     assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in gathered_stack(coeff_s, coeff_sp)]
+
+
+def test_second_stack_coefficients_call_reads_cached_block_positions(monkeypatch):
+    # block positions depend on (rank, block) only: after one call, no label-count search runs again
+    rng = np.random.default_rng(71)
+    coeff_s, coeff_sp = [coefficients([SymTensor(3, n, rng.standard_normal(n_components(n, 3))) for n in range(3)]) for _ in range(2)]
+    first = stack_coefficients(coeff_s, coeff_sp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("label counts searched again")
+
+    monkeypatch.setattr(mixed6, "_count_positions", refuse)
+    monkeypatch.setattr(symtensor, "_count_positions", refuse)
+    second = stack_coefficients(coeff_s, coeff_sp)
+    assert [t.data.tobytes() for t in second] == [t.data.tobytes() for t in first]
 
 
 def test_rotate_coefficients_involution():

@@ -19,6 +19,8 @@ from hermtensor.quadrature import (
     _axis_table,
     _gram,
     _grid_rows,
+    _moments,
+    _probe,
     _series,
     _series_plan,
     expand,
@@ -33,6 +35,7 @@ from hermtensor.quadrature import (
 )
 from hermtensor.symtensor import (
     SymTensor,
+    _axis_counts,
     _count_plan,
     canonical_index_tuples,
     multiplicity_vector,
@@ -606,6 +609,20 @@ def test_overflowing_divisor_is_refused():
     for project in (expand, truncation_error):
         with pytest.raises(ArithmeticError, match=r"divisor 2\*\*m m! f0 overflows"):
             project(f, 2, gauss_hermite_rule(12), f0=1e10, vectorized=True)
+
+
+@pytest.mark.parametrize("f0", [math.pi ** (-1.5), 1.0, -2.5, 3e-300, 1e300])
+def test_expand_divides_each_moment_once_by_its_rank_divisor(f0):
+    # component c of rank m is pi**-1.5 M[c] / (2**m m! f0 / unit), scalar by scalar: M the moment cube of f in
+    # units of the probe's power of two, then one division by the rank's divisor
+    rule, f = gauss_hermite_rule(16), drifting_maxwellian((0.4, -0.3, 0.2), 1.2)
+    _, unit, values = _probe(f, rule, True)
+    moments = _moments(values * (1.0 / unit), _axis_table(rule, 6) * (rule.weights * np.exp(rule.nodes**2)))
+    coeffs = expand(f, 6, rule, f0, vectorized=True)
+    for m in range(7):
+        divisor = 2.0**m * math.factorial(m) * (f0 / unit)
+        want = [math.pi ** (-1.5) * float(moments[tuple(c)]) / divisor for c in _axis_counts(m, 3)]
+        assert coeffs[m].data.tobytes() == np.array(want).tobytes(), m
 
 
 def test_truncation_error_scales_bitwise_with_power_of_two():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermtensor import symtensor
 from hermtensor.hermite import PolyScalar
 from hermtensor.symtensor import (
     SymTensor,
@@ -20,7 +21,7 @@ from hermtensor.symtensor import (
     scalar,
     sym_product,
 )
-from hermtensor.symtensor import _axis_counts, _count_plan, _dense_positions, _split_plan
+from hermtensor.symtensor import _axis_counts, _count_plan, _count_positions, _dense_positions, _split_plan
 
 
 def random_symtensor(rng, dim, rank):
@@ -79,7 +80,7 @@ def test_one_table_per_rank_whatever_its_integer_type():
 def test_count_plan_is_the_per_rank_tables_concatenated(dim, top):
     plan = _count_plan(top, dim)
     assert _count_plan(top, dim) is plan
-    counts, multiplicities, cube, bounds = plan
+    counts, multiplicities, cube, ranks, bounds = plan
     assert bounds == tuple(sum(n_components(m, dim) for m in range(n)) for n in range(top + 2))
     for n in range(top + 1):
         lo, hi = bounds[n], bounds[n + 1]
@@ -89,6 +90,28 @@ def test_count_plan_is_the_per_rank_tables_concatenated(dim, top):
     for arr in (counts, multiplicities, cube):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+@pytest.mark.parametrize(("dim", "top"), [(3, n) for n in range(7)] + [(6, n) for n in range(5)])
+def test_count_plan_ranks_are_read_only_label_count_totals(dim, top):
+    counts, _, _, ranks, bounds = _count_plan(top, dim)
+    assert np.array_equal(ranks, np.repeat(np.arange(top + 1), np.diff(bounds)))
+    assert np.array_equal(ranks, counts.sum(axis=1))
+    with pytest.raises(ValueError, match="read-only"):
+        ranks[0] = 0
+
+
+@pytest.mark.parametrize(("dim", "rank"), [(3, n) for n in range(7)] + [(6, n) for n in range(5)])
+def test_count_positions_follow_the_plan_cube_order(dim, rank):
+    # the cube position is the one integer encoding of a label-count row
+    assert not hasattr(symtensor, "_count_keys")
+    _, _, cube, _, bounds = _count_plan(rank, dim)
+    cube = cube[bounds[rank] : bounds[rank + 1]]
+    assert np.all(np.diff(cube) < 0)  # strictly decreasing in storage order
+    storage = np.arange(len(cube))
+    counts = _axis_counts(rank, dim)
+    assert np.array_equal(_count_positions(counts, rank, dim), storage)
+    assert np.array_equal(_count_positions(counts[::-1], rank, dim), storage[::-1])
 
 
 @pytest.mark.parametrize("dim,rank,count", [(3, 2, 6), (3, 3, 10), (3, 6, 28), (6, 3, 56), (6, 4, 126)])
